@@ -13,28 +13,29 @@ use rlpta_circuits::by_name;
 use rlpta_core::{DcEngine, PtaKind, PtaSolver, SimpleStepping};
 use rlpta_devices::EvalCtx;
 use rlpta_linalg::{CsrMatrix, LuWorkspace, SparseLu, Triplet};
+use rlpta_mna::{Circuit, StampPlan};
 
-/// The Jacobian of the largest suite circuit at its DC operating point —
-/// the exact matrix the warm iterations of a PTA march keep refactorizing.
-fn largest_jacobian() -> CsrMatrix {
-    let bench = by_name("fadd32").expect("known benchmark");
-    let c = &bench.circuit;
+/// A suite circuit and its DC operating point from a robust solve.
+fn operating_point(name: &str) -> (Circuit, Vec<f64>) {
+    let circuit = by_name(name).expect("known benchmark").circuit;
     let sol = DcEngine::builder()
         .robust()
         .budget(robust_budget())
         .build()
-        .solve(c)
-        .expect("fadd32 solves");
+        .solve(&circuit)
+        .expect("suite circuit solves");
+    (circuit, sol.x)
+}
+
+/// The Jacobian of the largest suite circuit at its DC operating point —
+/// the exact matrix the warm iterations of a PTA march keep refactorizing.
+fn largest_jacobian() -> CsrMatrix {
+    let (c, x) = operating_point("fadd32");
     let dim = c.dim();
     let mut jac = Triplet::with_capacity(dim, dim, 16 * c.devices().len() + 2 * dim);
     let mut res = vec![0.0; dim];
-    let mut state = c.seeded_state(&sol.x);
-    let ctx = EvalCtx {
-        x: &sol.x,
-        gmin: EvalCtx::DEFAULT_GMIN,
-        source_scale: 1.0,
-    };
-    c.assemble_into(&ctx, &mut jac, &mut res, &mut state);
+    let mut state = c.seeded_state(&x);
+    c.assemble_into(&EvalCtx::dc(&x), &mut jac, &mut res, &mut state);
     jac.to_csr()
 }
 
@@ -132,33 +133,43 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-/// The assembly-pipeline counterpart of `symbolic_reuse`: the same solve
-/// driven through the precompiled stamp-plan path (resolve once, then
-/// slot-table writes into a persistent CSR buffer) versus the triplet
-/// reference path (rebuild the COO list and re-sort to CSR every
-/// iteration). The two are bit-identical by contract, so the gap between
-/// the bars is pure assembly overhead — what the plan path banks on every
-/// Newton iteration after the first.
+/// The assembly-pipeline counterpart of `symbolic_reuse`, at the layer
+/// where it is decided: one `StampPlan::eval_into` write pass into a
+/// persistent CSR buffer (what every Newton iteration runs) versus the
+/// triplet reference (`assemble_into` pushes, then the sort/dedup of
+/// `to_csr`) at the circuit's operating point. The two are bit-identical
+/// by contract (`tests/assembly_oracle.rs`), so the gap between the bars
+/// is pure assembly overhead — what the plan banks on every Newton
+/// iteration after the first.
 fn bench_assembly(c: &mut Criterion) {
     let mut group = c.benchmark_group("assembly");
-    group.sample_size(20);
     for name in ["gm1", "fadd32"] {
-        let circuit = by_name(name).expect("known benchmark").circuit;
-        for (label, mode) in [
-            ("plan", rlpta_core::AssemblyMode::Plan),
-            ("triplet", rlpta_core::AssemblyMode::Triplet),
-        ] {
-            let engine = DcEngine::builder()
-                .robust()
-                .budget(robust_budget())
-                .assembly(mode)
-                .build();
-            group.bench_with_input(
-                BenchmarkId::new(label, name),
-                &engine,
-                |b, engine| b.iter(|| engine.solve(&circuit).unwrap()),
-            );
-        }
+        let (circuit, x) = operating_point(name);
+        let ctx = EvalCtx::dc(&x);
+        let dim = circuit.dim();
+        let mut res = vec![0.0; dim];
+        let mut state = circuit.seeded_state(&x);
+        let plan = StampPlan::resolve(&circuit, &mut |_| {});
+        let mut matrix = plan.new_matrix();
+        group.bench_function(BenchmarkId::new("plan", name), |b| {
+            b.iter(|| {
+                plan.eval_into(
+                    &circuit,
+                    &ctx,
+                    &mut matrix,
+                    &mut res,
+                    &mut state,
+                    &mut |_| {},
+                )
+            })
+        });
+        let mut jac = Triplet::with_capacity(dim, dim, plan.len());
+        group.bench_function(BenchmarkId::new("triplet", name), |b| {
+            b.iter(|| {
+                circuit.assemble_into(&ctx, &mut jac, &mut res, &mut state);
+                jac.to_csr()
+            })
+        });
     }
     group.finish();
 }

@@ -1,31 +1,16 @@
-//! Assembly-mode selection and the per-context workspace for two-phase
-//! (resolve/write) stamping.
+//! The per-context workspace for two-phase (resolve/write) stamping.
 //!
-//! The solvers assemble `J(x)` either through the reference triplet path
-//! (push, sort, dedup every iteration) or through a precompiled
-//! [`StampPlan`] (resolve targets once, then scatter values through the
-//! slot table into a persistent CSR buffer). Both paths run the *same*
-//! device code and are bit-identical by construction; the plan path just
-//! skips the per-iteration sort and allocation.
+//! The solvers assemble `J(x)` through a precompiled [`StampPlan`]:
+//! resolve targets once per structure, then scatter values through the
+//! slot table into a persistent CSR buffer every iteration — no triplet
+//! allocation or sorting in the hot loop. The triplet path
+//! (`Circuit::assemble_into` + `Triplet::to_csr`) stays as the independent
+//! re-assembly behind `certify` and AC, and as the bitwise test oracle for
+//! the plan (`crates/core/tests/assembly_identity.rs`).
 
 use rlpta_linalg::CsrMatrix;
 use rlpta_mna::{BumpPlan, StampPlan};
 use std::sync::Arc;
-
-/// How Newton systems are assembled each iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[non_exhaustive]
-pub enum AssemblyMode {
-    /// Precompiled stamp plan: one structural resolve per circuit
-    /// structure, then per-iteration in-place slot-table scatter — no
-    /// triplet allocation or sorting in the hot loop. The default.
-    #[default]
-    Plan,
-    /// Reference path: per-iteration triplet pushes plus sort/dedup on
-    /// conversion. Kept for verification — plan-path results are required
-    /// to be bit-identical to this.
-    Triplet,
-}
 
 /// Per-solve-context assembly state, threaded through `newton_iterate`
 /// alongside the LU workspace: the resolved plan (possibly shared from the
@@ -81,16 +66,16 @@ impl AssemblyWorkspace {
         self.bump = None;
     }
 
-    /// The plan plus its working matrix, allocating the buffer on first
-    /// use.
+    /// The plan plus its working matrix, split-borrowed from the
+    /// workspace; the buffer is allocated on first use.
     ///
     /// # Panics
     ///
     /// Panics if no plan is installed.
-    pub(crate) fn plan_and_matrix(&mut self) -> (Arc<StampPlan>, &mut CsrMatrix) {
+    pub(crate) fn plan_and_matrix(&mut self) -> (&StampPlan, &mut CsrMatrix) {
         let plan = self
             .plan
-            .clone()
+            .as_deref()
             .expect("assembly workspace used before plan resolution");
         let matrix = self.matrix.get_or_insert_with(|| plan.new_matrix());
         (plan, matrix)

@@ -53,7 +53,7 @@
 //! carry, so its iterate (not its correctness) can differ from the serial
 //! ladder. Batches and sweeps never use the raced path internally.
 
-use crate::assembly::{AssemblyMode, AssemblyWorkspace};
+use crate::assembly::AssemblyWorkspace;
 use crate::certify::{certify_into, HealthGrade};
 use crate::error::{SolveError, SolvePhase};
 use crate::newton::{newton_iterate, NewtonConfig, NewtonRaphson};
@@ -268,31 +268,6 @@ impl DcEngineBuilder {
     #[must_use]
     pub fn newton_config(mut self, config: NewtonConfig) -> Self {
         self.newton = config;
-        self
-    }
-
-    /// Assembly mode for **every** Newton loop the engine runs: the direct
-    /// Newton strategy, the PTA inner loops, sweep points and each rung of
-    /// a robust ladder (applied to the current strategy — set the ladder
-    /// first). Results are bit-identical across modes; this is a
-    /// performance knob kept public for A/B verification.
-    #[must_use]
-    pub fn assembly(mut self, mode: AssemblyMode) -> Self {
-        self.newton.assembly = mode;
-        self.config.newton.assembly = mode;
-        if let Strategy::Robust(stages) = &mut self.strategy {
-            for stage in stages {
-                match stage {
-                    LadderStage::DampedNewton(cfg) => cfg.assembly = mode,
-                    LadderStage::GminStepping(gs) => gs.newton.assembly = mode,
-                    LadderStage::SourceStepping(ss) => ss.newton.assembly = mode,
-                    LadderStage::Cepta(pc) | LadderStage::Dpta(pc) => {
-                        pc.newton.assembly = mode;
-                    }
-                    LadderStage::NewtonHomotopy(nh) => nh.newton.assembly = mode,
-                }
-            }
-        }
         self
     }
 

@@ -86,7 +86,6 @@ mod trace;
 mod transient;
 
 pub use ac::{AcPoint, AcStimulus, AcSweep};
-pub use assembly::AssemblyMode;
 pub use certify::{certify, HealthGrade, HealthReport};
 pub use config::EngineConfig;
 pub use continuation::{GminStepping, SourceStepping};
@@ -109,7 +108,7 @@ pub use solution::{Solution, SolveStats};
 pub use stepping::{SerStepping, SimpleStepping, StepController, StepObservation};
 pub use sweep::{DcSweep, QuarantinedPoint, SweepPoint, SweepReport};
 pub use telemetry::{
-    Collector, CounterSink, DerivedRates, Event, FanoutSink, FlightRecorder, Histogram,
+    Collector, DerivedRates, Event, FanoutSink, FlightRecorder, Histogram,
     HistogramSummary, IncidentReport, JsonlSink, MetricsRegistry, NullSink, Payload, Phase, Sink,
     Span, Trigger,
 };
@@ -134,7 +133,6 @@ pub use transient::{Stimulus, Transient, TransientPoint, Waveform};
 /// # }
 /// ```
 pub mod prelude {
-    pub use crate::assembly::AssemblyMode;
     pub use crate::certify::{HealthGrade, HealthReport};
     pub use crate::config::EngineConfig;
     pub use crate::engine::{DcEngine, DcEngineBuilder, Stepping, Strategy};

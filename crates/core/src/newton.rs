@@ -1,13 +1,13 @@
 //! Damped Newton–Raphson with SPICE convergence criteria.
 
-use crate::assembly::{AssemblyMode, AssemblyWorkspace};
+use crate::assembly::AssemblyWorkspace;
 use crate::error::SolvePhase;
 use crate::recovery::{BudgetMeter, SolveBudget};
 use crate::telemetry::timing::time_phase;
 use crate::telemetry::{Payload, Phase, StatsFold, Tele};
 use crate::{Solution, SolveError};
 use rlpta_devices::{EvalCtx, Stamper};
-use rlpta_linalg::{norms, LuOp, LuWorkspace, Triplet};
+use rlpta_linalg::{norms, LuOp, LuWorkspace};
 use rlpta_mna::{Circuit, StampPlan};
 use std::sync::Arc;
 
@@ -40,10 +40,6 @@ pub struct NewtonConfig {
     /// Per-iteration clamp on node-voltage updates, in volts; `0.0`
     /// disables global damping (device-level limiting still applies).
     pub max_voltage_step: f64,
-    /// How the Newton system is assembled each iteration (precompiled
-    /// stamp plan vs the reference triplet path); results are bit-identical
-    /// either way.
-    pub assembly: AssemblyMode,
 }
 
 impl Default for NewtonConfig {
@@ -57,7 +53,6 @@ impl Default for NewtonConfig {
             gmin: EvalCtx::DEFAULT_GMIN,
             source_scale: 1.0,
             max_voltage_step: 2.0,
-            assembly: AssemblyMode::default(),
         }
     }
 }
@@ -120,7 +115,6 @@ pub(crate) fn newton_iterate(
     let dim = circuit.dim();
     debug_assert_eq!(x0.len(), dim, "x0 dimension mismatch");
     let num_nodes = circuit.num_nodes();
-    let mode = config.assembly;
     // Whole-run timing span; the guard emits on every exit path, error
     // returns included.
     let _nr_span = tele.time(Phase::NewtonSolve);
@@ -129,33 +123,24 @@ pub(crate) fn newton_iterate(
     // Last iterate whose stamps evaluated finite — the rollback anchor for
     // the non-finite guard below.
     let mut x_prev: Option<Vec<f64>> = None;
-    // Reference-path buffers; zero-allocation placeholders in plan mode.
-    let mut jac = match mode {
-        AssemblyMode::Triplet => {
-            Triplet::with_capacity(dim, dim, 16 * circuit.devices().len() + 2 * dim)
-        }
-        AssemblyMode::Plan => Triplet::new(dim, dim),
-    };
     let mut res = vec![0.0; dim];
     let mut lu_full = 0usize;
     let mut lu_replay = 0usize;
     let mut last_residual = f64::INFINITY;
 
-    if mode == AssemblyMode::Plan {
-        // A workspace recycled across circuits of different dimension (the
-        // engine's sweep loop does this) cannot keep its plan.
-        if asm.plan().is_some_and(|p| p.dim() != dim) {
-            asm.reset();
-        }
-        // Resolve once per structure; a service-seeded plan skips this.
-        if asm.plan().is_none() {
-            let resolved = time_phase!(
-                tele,
-                Phase::StampResolve,
-                StampPlan::resolve(circuit, &mut |st| extra(&x, st))
-            );
-            asm.set_plan(Arc::new(resolved));
-        }
+    // A workspace recycled across circuits of different dimension (the
+    // engine's sweep loop does this) cannot keep its plan.
+    if asm.plan().is_some_and(|p| p.dim() != dim) {
+        asm.reset();
+    }
+    // Resolve once per structure; a service-seeded plan skips this.
+    if asm.plan().is_none() {
+        let resolved = time_phase!(
+            tele,
+            Phase::StampResolve,
+            StampPlan::resolve(circuit, &mut |st| extra(&x, st))
+        );
+        asm.set_plan(Arc::new(resolved));
     }
 
     for iter in 1..=config.max_iterations {
@@ -167,20 +152,10 @@ pub(crate) fn newton_iterate(
             source_scale: config.source_scale,
         };
         let stamps_finite = time_phase!(tele, Phase::StampWrite, {
-            match mode {
-                AssemblyMode::Triplet => {
-                    circuit.assemble_into(&ctx, &mut jac, &mut res, state);
-                    let mut st = Stamper::new(&mut jac, &mut res);
-                    extra(&x, &mut st);
-                    jac.all_finite()
-                }
-                AssemblyMode::Plan => {
-                    let (plan, matrix) = asm.plan_and_matrix();
-                    plan.eval_into(circuit, &ctx, matrix, &mut res, state, &mut |st| {
-                        extra(&x, st)
-                    })
-                }
-            }
+            let (plan, matrix) = asm.plan_and_matrix();
+            plan.eval_into(circuit, &ctx, matrix, &mut res, state, &mut |st| {
+                extra(&x, st)
+            })
         });
         #[cfg(feature = "faults")]
         crate::recovery::perturb_residual(&mut res);
@@ -190,8 +165,8 @@ pub(crate) fn newton_iterate(
         // must not reach the factorization. Retreat halfway toward the last
         // clean iterate and retry; each retreat consumes an iteration, so
         // the loop still terminates. With no clean iterate to retreat to,
-        // the poison is structural — fail. Both assembly modes check the
-        // same thing: every *raw* stamp finite, every residual entry finite.
+        // the poison is structural — fail. Every *raw* stamp must be
+        // finite, and every residual entry.
         if !(stamps_finite && res.iter().all(|v| v.is_finite())) {
             match &x_prev {
                 Some(prev) => {
@@ -211,43 +186,25 @@ pub(crate) fn newton_iterate(
         last_residual = norms::inf_norm(&res);
 
         // Factorize, escalating a diagonal Gmin shunt on singularity. The
-        // plan path escalates on a lazily-built (pattern ∪ diagonals)
-        // companion matrix with the same cumulative summation order as the
-        // triplet path's appended pushes — the factorized values are
-        // bit-identical between modes at every bump level.
+        // shunt goes onto a lazily-built (pattern ∪ node diagonals)
+        // companion matrix loaded from the base values, cumulatively per
+        // bump level.
         let mut factorized = None;
         for bump in 0..4 {
             if bump > 0 {
-                let gshunt = 1e-9 * 100f64.powi(bump);
-                match mode {
-                    AssemblyMode::Triplet => {
-                        for i in 0..num_nodes {
-                            jac.push(i, i, gshunt);
-                        }
-                    }
-                    AssemblyMode::Plan => {
-                        let (bp, bumped, base) = asm.bump_and_base(num_nodes);
-                        if bump == 1 {
-                            bp.scatter_base(base, bumped);
-                        }
-                        bp.add_diag(bumped, gshunt);
-                    }
+                let (bp, bumped, base) = asm.bump_and_base(num_nodes);
+                if bump == 1 {
+                    bp.scatter_base(base, bumped);
                 }
+                bp.add_diag(bumped, 1e-9 * 100f64.powi(bump));
             }
             // Deferred timer: full factorize vs symbolic replay is only
             // known after the call, read off the workspace's `last_op`.
             let lu_timer = tele.timer();
-            let attempt = match mode {
-                AssemblyMode::Triplet => lu_ws.factorize(&jac.to_csr()),
-                AssemblyMode::Plan => {
-                    if bump == 0 {
-                        let (_, matrix) = asm.plan_and_matrix();
-                        lu_ws.factorize(matrix)
-                    } else {
-                        let (_, bumped, _) = asm.bump_and_base(num_nodes);
-                        lu_ws.factorize(bumped)
-                    }
-                }
+            let attempt = if bump == 0 {
+                lu_ws.factorize(asm.plan_and_matrix().1)
+            } else {
+                lu_ws.factorize(asm.bump_and_base(num_nodes).1)
             };
             match attempt {
                 Ok(f) => {
@@ -347,19 +304,10 @@ pub(crate) fn newton_iterate(
                 source_scale: config.source_scale,
             };
             time_phase!(tele, Phase::StampWrite, {
-                match mode {
-                    AssemblyMode::Triplet => {
-                        circuit.assemble_into(&ctx, &mut jac, &mut res, state);
-                        let mut st = Stamper::new(&mut jac, &mut res);
-                        extra(&x, &mut st);
-                    }
-                    AssemblyMode::Plan => {
-                        let (plan, matrix) = asm.plan_and_matrix();
-                        plan.eval_into(circuit, &ctx, matrix, &mut res, state, &mut |st| {
-                            extra(&x, st)
-                        });
-                    }
-                }
+                let (plan, matrix) = asm.plan_and_matrix();
+                plan.eval_into(circuit, &ctx, matrix, &mut res, state, &mut |st| {
+                    extra(&x, st)
+                });
             });
             #[cfg(feature = "faults")]
             crate::recovery::perturb_residual(&mut res);

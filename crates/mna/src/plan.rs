@@ -8,11 +8,14 @@
 //! replays the sequence through the slot table — no triplet allocation, no
 //! sorting, no hashing, just a cursor walk scattering values in place.
 //!
-//! Bit-identity with [`Circuit::assemble_into`] followed by
-//! [`Triplet::to_csr`] is the contract: the same device code runs in both
-//! modes (the [`Stamper`] sink is what differs), the frozen pattern is the
-//! same stable sort, and each slot accumulates its duplicates in push
-//! order. See `rlpta-linalg::StampSlots` for the mechanics.
+//! This is the only assembly path the Newton loop runs. Bit-identity with
+//! [`Circuit::assemble_into`] followed by [`Triplet::to_csr`] — kept for
+//! independent re-assembly (certification, AC) and as the test oracle —
+//! is the contract: the same device code runs on both sides (the
+//! [`Stamper`] sink is what differs), the frozen pattern is the same
+//! stable sort, and each slot accumulates its duplicates in push order.
+//! See `rlpta-linalg::StampSlots` for the mechanics; the oracle tests are
+//! `crates/core/tests/assembly_identity.rs` and `tests/assembly_oracle.rs`.
 
 use crate::Circuit;
 use rlpta_devices::{EvalCtx, Stamper};
@@ -150,8 +153,7 @@ impl StampPlan {
     /// values into `matrix`'s slots in place, exactly mirroring
     /// [`Circuit::assemble_into`]. Returns `true` when every raw Jacobian
     /// stamp was finite — the scatter-path equivalent of
-    /// [`Triplet::all_finite`] (the caller checks the residual itself, as
-    /// on the triplet path).
+    /// [`Triplet::all_finite`] (the caller checks the residual itself).
     ///
     /// # Panics
     ///
@@ -180,8 +182,8 @@ impl StampPlan {
 
     /// Builds the Gmin-bump companion: the frozen pattern united with every
     /// node diagonal, plus the scatter maps needed to replay a bumped
-    /// factorization bit-identically to the triplet path's
-    /// `jac.push(i, i, gshunt)` escalation.
+    /// factorization bit-identically to `jac.push(i, i, gshunt)` on the
+    /// reference triplet.
     pub fn bump_plan(&self, num_nodes: usize) -> BumpPlan {
         // Union pattern via the triplet reference machinery — same stable
         // dedup as everything else.
@@ -218,11 +220,11 @@ impl StampPlan {
 /// Scatter maps for the singular-matrix Gmin-bump escalation under a
 /// [`StampPlan`]: the base pattern extended with all node diagonals.
 ///
-/// The triplet path recovers from a singular factorization by appending
-/// `gshunt` pushes on every node diagonal and re-converting; summation
-/// order there is "base entries first, then each bump in order". The maps
-/// here reproduce exactly that: copy base slot values across, then `+=`
-/// the shunt on the diagonals, cumulatively per bump level.
+/// The reference for a bumped system is the triplet with `gshunt` pushes
+/// appended on every node diagonal and re-converted; summation order there
+/// is "base entries first, then each bump in order". The maps here
+/// reproduce exactly that: copy base slot values across, then `+=` the
+/// shunt on the diagonals, cumulatively per bump level.
 #[derive(Debug, Clone)]
 pub struct BumpPlan {
     template: CsrMatrix,
