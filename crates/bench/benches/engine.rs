@@ -7,12 +7,16 @@
 //! Jacobian — that gap is what the engine banks at every Newton iteration
 //! after the first.
 
+#[allow(dead_code)]
+#[path = "../../core/tests/support/limit_free_oracle.rs"]
+mod limit_free_oracle;
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rlpta_bench::{experiment_config, robust_budget};
-use rlpta_circuits::by_name;
-use rlpta_core::{DcEngine, PtaKind, PtaSolver, SimpleStepping};
+use rlpta_circuits::{by_name, families::mos_voter};
+use rlpta_core::{certify, DcEngine, PtaKind, PtaSolver, SimpleStepping, StructureKey};
 use rlpta_devices::EvalCtx;
-use rlpta_linalg::{CsrMatrix, LuWorkspace, SparseLu, Triplet};
+use rlpta_linalg::{CsrMatrix, FnvHasher, LuWorkspace, SparseLu, Triplet};
 use rlpta_mna::{Circuit, StampPlan};
 
 /// A suite circuit and its DC operating point from a robust solve.
@@ -31,12 +35,7 @@ fn operating_point(name: &str) -> (Circuit, Vec<f64>) {
 /// the exact matrix the warm iterations of a PTA march keep refactorizing.
 fn largest_jacobian() -> CsrMatrix {
     let (c, x) = operating_point("fadd32");
-    let dim = c.dim();
-    let mut jac = Triplet::with_capacity(dim, dim, 16 * c.devices().len() + 2 * dim);
-    let mut res = vec![0.0; dim];
-    let mut state = c.seeded_state(&x);
-    c.assemble_into(&EvalCtx::dc(&x), &mut jac, &mut res, &mut state);
-    jac.to_csr()
+    c.assemble_limit_free(&x).0.to_csr()
 }
 
 fn bench_symbolic_reuse(c: &mut Criterion) {
@@ -174,11 +173,125 @@ fn bench_assembly(c: &mut Criterion) {
     group.finish();
 }
 
+/// The COO→CSR conversion `Triplet::to_csr` ran before the counting
+/// sort: a comparison sort of the entries, then duplicate summation.
+fn comparison_sort_csr(
+    rows: usize,
+    t: &[(usize, usize, f64)],
+) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
+    let mut sorted = t.to_vec();
+    sorted.sort_by_key(|e| (e.0, e.1));
+    let mut row_ptr = vec![0usize; rows + 1];
+    let mut cols = Vec::with_capacity(sorted.len());
+    let mut values: Vec<f64> = Vec::with_capacity(sorted.len());
+    let mut last = None;
+    for (r, c, v) in sorted {
+        match values.last_mut() {
+            Some(tail) if last == Some((r, c)) => *tail += v,
+            _ => {
+                row_ptr[r + 1] += 1;
+                cols.push(c);
+                values.push(v);
+                last = Some((r, c));
+            }
+        }
+    }
+    for i in 0..rows {
+        row_ptr[i + 1] += row_ptr[i];
+    }
+    (row_ptr, cols, values)
+}
+
+/// The structure key as it was derived before the declare pass: a triplet
+/// assembly at `x = 0`, the comparison-sort conversion, then the pattern
+/// and topology hash (the topology half costs the same as in
+/// `StructureKey::of`).
+fn walk_era_key(c: &Circuit) -> u64 {
+    let x0 = vec![0.0; c.dim()];
+    let (t, _) = c.assemble(&EvalCtx::dc(&x0));
+    let (row_ptr, cols, _) = comparison_sort_csr(t.rows(), t.entries());
+    let mut h = FnvHasher::new();
+    h.write_slice(&row_ptr);
+    h.write_slice(&cols);
+    for d in c.devices() {
+        h.write_usize(d.branch_count());
+        for n in d.nodes() {
+            h.write_u64(n.index().map_or(u64::MAX, |i| i as u64));
+        }
+    }
+    h.finish()
+}
+
+/// Limit-free evaluation: one limit-free pass against the retired limiter
+/// walk (up to 64 limited triplet assemblies, then one more) for the three
+/// entry points that used it — `Circuit::residual` (the PTA steady-state
+/// test), `certify` (assembly + LU + condition estimate) and
+/// `StructureKey::of` (declare-pass pattern against a triplet assembly
+/// plus comparison sort) — at each circuit's operating point, plus the
+/// COO→CSR conversion itself (counting sort against comparison sort) on
+/// the operating-point Jacobian's triplets.
+fn bench_limit_free(c: &mut Criterion) {
+    let mut group = c.benchmark_group("limit_free");
+    group.sample_size(200);
+    let voter = mos_voter("voter", 256);
+    let voter_x = DcEngine::builder()
+        .build()
+        .solve(&voter)
+        .expect("mos_voter256 solves")
+        .x;
+    let circuits = [
+        ("gm1", operating_point("gm1")),
+        ("fadd32", operating_point("fadd32")),
+        ("mos_voter256", (voter, voter_x)),
+    ];
+    for (name, (circuit, x)) in &circuits {
+        let (circuit, x) = (circuit, x.as_slice());
+        group.bench_function(BenchmarkId::new("residual_walk", name), |b| {
+            b.iter(|| {
+                let (mut state, _) = limit_free_oracle::walk_state(circuit, x);
+                let dim = circuit.dim();
+                let mut jac = Triplet::new(dim, dim);
+                let mut res = vec![0.0; dim];
+                circuit.assemble_into(&EvalCtx::dc(x), &mut jac, &mut res, &mut state);
+                res
+            })
+        });
+        group.bench_function(BenchmarkId::new("residual_single_pass", name), |b| {
+            b.iter(|| circuit.residual(x))
+        });
+        group.bench_function(BenchmarkId::new("certify_walk", name), |b| {
+            b.iter(|| {
+                let a = limit_free_oracle::walk(circuit, x).jacobian;
+                let lu = SparseLu::factorize(&a).unwrap();
+                (lu.cond_estimate(&a).unwrap(), lu.pivot_growth())
+            })
+        });
+        group.bench_function(BenchmarkId::new("certify_single_pass", name), |b| {
+            b.iter(|| certify(circuit, x))
+        });
+        group.bench_function(BenchmarkId::new("key_triplet", name), |b| {
+            b.iter(|| walk_era_key(circuit))
+        });
+        group.bench_function(BenchmarkId::new("key_declare", name), |b| {
+            b.iter(|| StructureKey::of(circuit))
+        });
+        let (t, _) = circuit.assemble_limit_free(x);
+        group.bench_function(BenchmarkId::new("to_csr_comparison_sort", name), |b| {
+            b.iter(|| comparison_sort_csr(t.rows(), t.entries()))
+        });
+        group.bench_function(BenchmarkId::new("to_csr_counting_sort", name), |b| {
+            b.iter(|| t.to_csr())
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_symbolic_reuse,
     bench_batch_engine,
     bench_telemetry_overhead,
-    bench_assembly
+    bench_assembly,
+    bench_limit_free
 );
 criterion_main!(benches);

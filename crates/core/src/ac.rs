@@ -11,8 +11,8 @@
 //! LU as every Newton iteration.
 
 use crate::{Solution, SolveError};
-use rlpta_devices::{Device, EvalCtx};
-use rlpta_linalg::{LuWorkspace, StampSlots, Triplet};
+use rlpta_devices::Device;
+use rlpta_linalg::{LuWorkspace, StampSlots};
 use rlpta_mna::Circuit;
 
 /// A sinusoidal excitation bound to a named independent source.
@@ -166,11 +166,7 @@ impl AcSweep {
         let n = circuit.dim();
 
         // Small-signal conductance matrix at the operating point.
-        let ctx = EvalCtx::dc(&op.x);
-        let mut g = Triplet::with_capacity(n, n, 16 * circuit.devices().len());
-        let mut scratch_res = vec![0.0; n];
-        let mut state = circuit.seeded_state(&op.x);
-        circuit.assemble_into(&ctx, &mut g, &mut scratch_res, &mut state);
+        let (g, _) = circuit.assemble_limit_free(&op.x);
 
         // Frequency-independent susceptance pattern (scaled by ω each point):
         // capacitors contribute +C between their nodes, inductors −L on

@@ -36,8 +36,7 @@
 use crate::error::SolveError;
 use crate::telemetry::{Payload, Tele};
 use crate::Solution;
-use rlpta_devices::EvalCtx;
-use rlpta_linalg::{norms, SparseLu, Triplet};
+use rlpta_linalg::{norms, SparseLu};
 use rlpta_mna::Circuit;
 
 /// Residual infinity-norm at or below which a solution can be graded
@@ -134,17 +133,6 @@ fn grade_of(residual_norm: f64, cond: f64, growth: f64) -> HealthGrade {
     }
 }
 
-/// One limiter-free assembly at `x`: returns `(J(x) triplets, F(x))`.
-fn assemble_at(circuit: &Circuit, x: &[f64]) -> (Triplet, Vec<f64>) {
-    let n = circuit.dim();
-    let ctx = EvalCtx::dc(x);
-    let mut jac = Triplet::with_capacity(n, n, 8 * circuit.devices().len());
-    let mut res = vec![0.0; n];
-    let mut state = circuit.seeded_state(x);
-    circuit.assemble_into(&ctx, &mut jac, &mut res, &mut state);
-    (jac, res)
-}
-
 /// Independently certifies an operating point: re-assembles the residual
 /// and Jacobian at `x` from the circuit alone (no solver state) and grades
 /// the result. Pure — same circuit and `x` always produce the same report.
@@ -157,7 +145,7 @@ pub fn certify(circuit: &Circuit, x: &[f64]) -> HealthReport {
             grade: HealthGrade::Rejected,
         };
     }
-    let (jac, res) = assemble_at(circuit, x);
+    let (jac, res) = circuit.assemble_limit_free(x);
     // `inf_norm` folds with `f64::max`, which discards NaN — scan first so a
     // poisoned residual rejects instead of reading as 0.0.
     let residual_norm = if res.iter().all(|v| v.is_finite()) {
@@ -193,7 +181,7 @@ fn rescue_pass(
     tele: &Tele<'_>,
 ) -> HealthReport {
     for step in 1..=RESCUE_STEPS {
-        let (jac, res) = assemble_at(circuit, x);
+        let (jac, res) = circuit.assemble_limit_free(x);
         if !res.iter().all(|v| v.is_finite()) {
             break;
         }

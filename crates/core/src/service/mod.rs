@@ -93,8 +93,8 @@ use crate::rl_stepping::{RlStepping, RlSteppingConfig};
 use crate::telemetry::{FanoutSink, FlightRecorder, MetricsRegistry, Payload, Sink, Span, Tele};
 use crate::Solution;
 use observe::priority_index;
-use rlpta_devices::{Device, EvalCtx};
-use rlpta_linalg::{CsrMatrix, FnvHasher, LuWorkspace, SymbolicLu};
+use rlpta_devices::Device;
+use rlpta_linalg::{CsrMatrix, FnvHasher, LuWorkspace, StampSlots, SymbolicLu};
 use rlpta_mna::{Circuit, StampPlan};
 use rlpta_threadpool::ThreadPool;
 use std::collections::HashMap;
@@ -132,22 +132,30 @@ pub struct StructureKey {
 }
 
 impl StructureKey {
-    /// Computes the key for `circuit` (assembling its Jacobian pattern once
-    /// at the zero operating point — device stamps touch the same matrix
-    /// positions at every operating point, so the pattern is
-    /// representative).
+    /// Computes the key for `circuit` from the pattern of its device
+    /// declare pass ([`Circuit::declare_targets`]) — device stamps touch the
+    /// same matrix positions at every operating point, and the declared
+    /// targets are exactly the positions an assembly pushes, so the pattern
+    /// equals the assembled Jacobian's.
     pub fn of(circuit: &Circuit) -> Self {
         Self::with_matrix(circuit).0
     }
 
-    /// [`StructureKey::of`] plus the assembled pattern, for callers that
-    /// need the matrix to validate a cached plan without assembling twice.
+    /// [`StructureKey::of`] plus the Jacobian pattern (values zero), for
+    /// callers that need the matrix to validate a cached plan without
+    /// declaring twice.
     pub(crate) fn with_matrix(circuit: &Circuit) -> (Self, CsrMatrix) {
-        let x0 = vec![0.0; circuit.dim()];
-        let (triplet, _rhs) = circuit.assemble(&EvalCtx::dc(&x0));
-        let csr = triplet.to_csr();
+        let mut targets = Vec::new();
+        circuit.declare_targets(&mut targets);
+        let (csr, _) = StampSlots::build(circuit.dim(), circuit.dim(), &targets);
+        (Self::from_pattern(circuit, &csr), csr)
+    }
+
+    /// Hashes `pattern` (the circuit's Jacobian pattern) together with the
+    /// circuit's device topology.
+    fn from_pattern(circuit: &Circuit, pattern: &CsrMatrix) -> Self {
         let mut h = FnvHasher::new();
-        h.write_u64(csr.pattern_hash());
+        h.write_u64(pattern.pattern_hash());
         h.write_usize(circuit.num_nodes());
         h.write_usize(circuit.num_branches());
         h.write_usize(circuit.state_len());
@@ -158,12 +166,11 @@ impl StructureKey {
                 h.write_u64(node.index().map_or(u64::MAX, |i| i as u64));
             }
         }
-        let key = Self {
+        Self {
             dim: circuit.dim(),
-            nnz: csr.nnz(),
+            nnz: pattern.nnz(),
             hash: h.finish(),
-        };
-        (key, csr)
+        }
     }
 
     /// MNA dimension of the keyed structure.
@@ -1352,6 +1359,37 @@ mod tests {
             0,
             "hash must be populated"
         );
+    }
+
+    #[test]
+    fn declared_key_equals_the_triplet_assembled_key() {
+        use rlpta_circuits::families::{mos_adder, mos_inverter_chain, mos_voter};
+        use rlpta_circuits::{fig5, stress, table2, table3, training_corpus};
+        use rlpta_devices::EvalCtx;
+
+        let mut circuits: Vec<Circuit> = [fig5(), table2(), table3(), training_corpus(), stress()]
+            .into_iter()
+            .flatten()
+            .map(|b| b.circuit)
+            .collect();
+        assert_eq!(circuits.len(), 118, "suite sizes changed");
+        circuits.push(mos_adder("adder", 32));
+        circuits.push(mos_voter("voter", 256));
+        circuits.push(mos_inverter_chain("chain", 100));
+        for c in &circuits {
+            // The key as derived before the declare pass: one triplet
+            // assembly at x = 0, converted by `to_csr`.
+            let x0 = vec![0.0; c.dim()];
+            let assembled = c.assemble(&EvalCtx::dc(&x0)).0.to_csr();
+            let (key, pattern) = StructureKey::with_matrix(c);
+            assert!(pattern.same_pattern(&assembled), "{}", c.title());
+            assert_eq!(
+                key,
+                StructureKey::from_pattern(c, &assembled),
+                "{}",
+                c.title()
+            );
+        }
     }
 
     #[test]

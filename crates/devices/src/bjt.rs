@@ -1,6 +1,6 @@
 //! Ebers–Moll bipolar junction transistor.
 
-use crate::limit::{junction_vcrit, limexp, limexp_deriv, pnjlim};
+use crate::limit::{junction_vcrit, limexp, limexp_deriv};
 use crate::{EvalCtx, Node, Stamper, THERMAL_VOLTAGE};
 
 /// BJT polarity.
@@ -179,8 +179,8 @@ impl Bjt {
         let vbc = s * (vb - vc);
 
         // `state` carries the last *evaluated* (limited) junction voltages.
-        let (vbe_l, _) = pnjlim(vbe, state[0], vt, vcrit);
-        let (vbc_l, _) = pnjlim(vbc, state[1], vt, vcrit);
+        let (vbe_l, _) = st.pnjlim(vbe, state[0], vt, vcrit);
+        let (vbc_l, _) = st.pnjlim(vbc, state[1], vt, vcrit);
         state[0] = vbe_l;
         state[1] = vbc_l;
 

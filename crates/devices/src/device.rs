@@ -123,7 +123,14 @@ impl Device {
     /// [`Device::state_len`]); nonlinear devices read their previously
     /// *limited* junction voltages from it and write the new limited values
     /// back — the mechanism that keeps SPICE junction limiting stable
-    /// across iterations.
+    /// across iterations. On a limit-free stamper ([`Stamper::limit_free`])
+    /// the values written back are the raw junction voltages.
+    ///
+    /// The stamp *sequence* is operating-point independent (the FETs
+    /// normalize their source/drain swap into fixed targets), so a declare
+    /// pass at any point yields the targets every evaluation replays, and
+    /// the numeric scatter pass runs this same body — which is what makes
+    /// plan-based assembly bit-identical to triplet assembly.
     ///
     /// # Panics
     ///
@@ -147,37 +154,6 @@ impl Device {
             Device::Mosfet(d) => d.stamp(ctx, st, state),
             Device::Jfet(d) => d.stamp(ctx, st, state),
         }
-    }
-
-    /// Structural half of the split stamping interface: records this
-    /// device's ground-filtered `(row, col)` Jacobian targets, in push
-    /// order, without producing numbers.
-    ///
-    /// Every model's stamp sequence is operating-point *independent* (the
-    /// FETs normalize their source/drain swap into fixed targets), so one
-    /// declare pass — conventionally at `x = 0` with scratch state and
-    /// residual — yields the target list every later evaluation replays.
-    /// No fault-injection draws are consumed.
-    pub fn declare_stamps(
-        &self,
-        ctx: &EvalCtx<'_>,
-        targets: &mut Vec<(usize, usize)>,
-        scratch_residual: &mut [f64],
-        state: &mut [f64],
-    ) {
-        let mut st = Stamper::declare(targets, scratch_residual);
-        self.stamp(ctx, &mut st, state);
-    }
-
-    /// Numeric half of the split stamping interface: evaluates the device
-    /// at `ctx` and writes values through a scatter-mode [`Stamper`]
-    /// (slot-table writes, no hashing or searching) plus the residual.
-    ///
-    /// Delegates to the same `stamp` body as the triplet reference path —
-    /// that single code path is what guarantees plan-based assembly is
-    /// bit-identical to triplet assembly.
-    pub fn eval_into(&self, ctx: &EvalCtx<'_>, st: &mut Stamper<'_>, state: &mut [f64]) {
-        self.stamp(ctx, st, state);
     }
 }
 

@@ -1,6 +1,6 @@
 //! Shockley junction diode.
 
-use crate::limit::{junction_vcrit, limexp, limexp_deriv, pnjlim};
+use crate::limit::{junction_vcrit, limexp, limexp_deriv};
 use crate::{EvalCtx, Node, Stamper, THERMAL_VOLTAGE};
 
 /// Diode model parameters (`.model ... D(...)`).
@@ -112,7 +112,7 @@ impl Diode {
         // `state[0]` holds the junction voltage the device was last
         // *evaluated* at (already limited) — the SPICE state-vector trick
         // that keeps pnjlim stable across iterations.
-        let (vlim, _) = pnjlim(vd, state[0], self.model.nvt(), self.model.vcrit());
+        let (vlim, _) = st.pnjlim(vd, state[0], self.model.nvt(), self.model.vcrit());
         state[0] = vlim;
         let (i0, g) = self.eval(vlim, ctx.gmin);
         // Linearize at the limited voltage: i(vd) ≈ i(vlim) + g·(vd − vlim).

@@ -5,7 +5,7 @@
 //! forward-biased, which both clamps the gate and makes the JFET a stiffer
 //! Newton customer than an insulated-gate FET.
 
-use crate::limit::{junction_vcrit, limexp, limexp_deriv, pnjlim};
+use crate::limit::{junction_vcrit, limexp, limexp_deriv};
 use crate::{EvalCtx, Node, Stamper, THERMAL_VOLTAGE};
 
 /// JFET polarity.
@@ -211,7 +211,7 @@ impl Jfet {
         let vcrit = junction_vcrit(vt, self.model.is);
         for (slot, other) in [(0usize, self.source), (1usize, self.drain)] {
             let v = s * (vg - other.voltage(ctx.x));
-            let (v_l, _) = pnjlim(v, state[slot], vt, vcrit);
+            let (v_l, _) = st.pnjlim(v, state[slot], vt, vcrit);
             state[slot] = v_l;
             let (i0, g) = self.gate_junction(v_l, ctx.gmin);
             let i = i0 + g * (v - v_l);

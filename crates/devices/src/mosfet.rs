@@ -1,6 +1,6 @@
 //! Shichman–Hodges (SPICE level-1) MOSFET.
 
-use crate::limit::{fetlim, junction_vcrit, limexp, limexp_deriv, pnjlim};
+use crate::limit::{junction_vcrit, limexp, limexp_deriv};
 use crate::{EvalCtx, Node, Stamper, THERMAL_VOLTAGE};
 
 /// MOSFET polarity.
@@ -244,7 +244,7 @@ impl Mosfet {
 
         // Gate-voltage limiting against the last evaluated (limited) value,
         // carried in the device state (slots: vgs, vbd, vbs).
-        let (vgs_l, _) = fetlim(vgs_n, state[0], self.model.vto);
+        let (vgs_l, _) = st.fetlim(vgs_n, state[0], self.model.vto);
         state[0] = vgs_l;
 
         let op = self.eval_channel(vgs_l, vds_n, vbs_n.min(self.model.phi - 1e-3));
@@ -298,7 +298,7 @@ impl Mosfet {
         let vcrit = junction_vcrit(vt, self.model.is);
         for (slot, other) in [(1usize, self.drain), (2usize, self.source)] {
             let v = s * (vb - other.voltage(ctx.x));
-            let (v_l, _) = pnjlim(v, state[slot], vt, vcrit);
+            let (v_l, _) = st.pnjlim(v, state[slot], vt, vcrit);
             state[slot] = v_l;
             let (i0, g) = self.bulk_junction(v_l, ctx.gmin);
             let i = i0 + g * (v - v_l);

@@ -3,12 +3,21 @@
 //! [`Stamper`] is the single funnel every device model stamps through, and
 //! it is *mode-backed*: the same ordered push sequence a model emits can be
 //! routed to a [`Triplet`] (the reference path), recorded as structural
-//! `(row, col)` targets (the resolve half of a precompiled stamp plan), or
+//! `(row, col)` targets (the resolve half of a precompiled stamp plan),
 //! scattered straight into the nnz slots of a frozen CSR pattern via a
-//! [`SlotWriter`] (the write half). Because one code path drives all three
-//! sinks, the plan-based pipeline is bit-identical to triplet assembly by
-//! construction — same stamps, same order, same per-slot summation.
+//! [`SlotWriter`] (the write half), or dropped (residual-only passes).
+//! Because one code path drives every sink, the plan-based pipeline is
+//! bit-identical to triplet assembly by construction — same stamps, same
+//! order, same per-slot summation.
+//!
+//! Junction limiting goes through the stamper too (devices call
+//! `st.pnjlim` and `st.fetlim`). It is on for every constructor; a
+//! *limit-free* stamper ([`Stamper::limit_free`]) returns each proposed
+//! junction voltage unchanged, so one pass evaluates the true `F(x)` and
+//! `J(x)` — the fixed point a limiter-state walk would converge to,
+//! reached directly.
 
+use crate::limit;
 use crate::Node;
 use rlpta_linalg::{SlotWriter, Triplet};
 
@@ -68,6 +77,9 @@ enum Sink<'a> {
     /// Numeric write pass: values stream through a precompiled slot table
     /// into a frozen CSR pattern.
     Scatter(SlotWriter<'a>),
+    /// Residual-only pass: Jacobian values are computed by the device code
+    /// but dropped here.
+    Discard,
 }
 
 /// Accumulates device contributions into the Newton system `J·Δx = −F`.
@@ -78,6 +90,8 @@ enum Sink<'a> {
 pub struct Stamper<'a> {
     sink: Sink<'a>,
     residual: &'a mut [f64],
+    /// Whether `pnjlim`/`fetlim` limit at all.
+    limiting: bool,
 }
 
 impl<'a> Stamper<'a> {
@@ -98,6 +112,7 @@ impl<'a> Stamper<'a> {
         Self {
             sink: Sink::Triplet(jacobian),
             residual,
+            limiting: true,
         }
     }
 
@@ -112,6 +127,7 @@ impl<'a> Stamper<'a> {
         Self {
             sink: Sink::Declare(targets),
             residual,
+            limiting: true,
         }
     }
 
@@ -122,13 +138,58 @@ impl<'a> Stamper<'a> {
         Self {
             sink: Sink::Scatter(writer),
             residual,
+            limiting: true,
+        }
+    }
+
+    /// Residual-only mode: Jacobian pushes are dropped, only `residual`
+    /// accumulates. Like declare mode it consumes **no** fault-injection
+    /// draws — it produces no Jacobian values to poison.
+    pub fn residual_only(residual: &'a mut [f64]) -> Self {
+        Self {
+            sink: Sink::Discard,
+            residual,
+            limiting: true,
+        }
+    }
+
+    /// Turns junction limiting off: the stamper's `pnjlim` and `fetlim`
+    /// return the proposed voltage unchanged, so the
+    /// devices stamp their true linearization at `x` and record the raw
+    /// junction voltages as their state. This is what certification, AC
+    /// and the PTA steady-state test evaluate.
+    #[must_use]
+    pub fn limit_free(mut self) -> Self {
+        self.limiting = false;
+        self
+    }
+
+    /// SPICE `pnjlim` ([`limit::pnjlim`]) when limiting is on; `(vnew,
+    /// false)` on a limit-free stamper.
+    #[inline]
+    pub(crate) fn pnjlim(&self, vnew: f64, vold: f64, vt: f64, vcrit: f64) -> (f64, bool) {
+        if self.limiting {
+            limit::pnjlim(vnew, vold, vt, vcrit)
+        } else {
+            (vnew, false)
+        }
+    }
+
+    /// SPICE `fetlim` ([`limit::fetlim`]) when limiting is on; `(vnew,
+    /// false)` on a limit-free stamper.
+    #[inline]
+    pub(crate) fn fetlim(&self, vnew: f64, vold: f64, vto: f64) -> (f64, bool) {
+        if self.limiting {
+            limit::fetlim(vnew, vold, vto)
+        } else {
+            (vnew, false)
         }
     }
 
     /// Ends a scatter pass: checks the full declared sequence was written
     /// and returns whether every raw stamp was finite. In the other modes
     /// this is a no-op returning `true` (triplet finiteness is checked via
-    /// `Triplet::all_finite`).
+    /// `Triplet::all_finite`; residual-only passes have no Jacobian).
     ///
     /// # Panics
     ///
@@ -137,7 +198,7 @@ impl<'a> Stamper<'a> {
     pub fn finish(self) -> bool {
         match self.sink {
             Sink::Scatter(w) => w.finish(),
-            Sink::Triplet(_) | Sink::Declare(_) => true,
+            Sink::Triplet(_) | Sink::Declare(_) | Sink::Discard => true,
         }
     }
 
@@ -153,16 +214,18 @@ impl<'a> Stamper<'a> {
             Sink::Triplet(t) => t.push(row, col, v),
             Sink::Declare(targets) => targets.push((row, col)),
             Sink::Scatter(w) => w.write(v),
+            Sink::Discard => {}
         }
     }
 
     /// Whether the active mode consumes fault-injection draws. Declare
     /// passes must not: a plan resolve happens once per structure, and
     /// drawing from the seeded NaN stream there would desynchronize every
-    /// later evaluation from the triplet reference path.
+    /// later evaluation from the triplet reference path. Residual-only
+    /// passes have no Jacobian values to poison.
     #[cfg(feature = "faults")]
     fn draws_faults(&self) -> bool {
-        !matches!(self.sink, Sink::Declare(_))
+        !matches!(self.sink, Sink::Declare(_) | Sink::Discard)
     }
 
     /// Adds `g` to the Jacobian between two node unknowns (either may be
@@ -171,7 +234,8 @@ impl<'a> Stamper<'a> {
         if let (Some(r), Some(c)) = (row.index(), col.index()) {
             // Injected fault: a seeded fraction of stamps is poisoned with
             // NaN, standing in for a device model evaluated out of range.
-            // Short-circuit keeps declare passes from consuming draws.
+            // Short-circuit keeps declare and residual-only passes from
+            // consuming draws.
             #[cfg(feature = "faults")]
             let g = if self.draws_faults() && crate::faults::fire_nan() {
                 f64::NAN
@@ -310,6 +374,30 @@ mod tests {
         assert_eq!(m.get(2, 0), -1.0);
         assert_eq!(m.get(2, 2), 0.25);
         assert_eq!(r[2], 5.0);
+    }
+
+    #[test]
+    fn limit_free_stamper_returns_the_proposed_voltage() {
+        let mut r = vec![0.0; 1];
+        let st = Stamper::residual_only(&mut r);
+        assert!(
+            st.pnjlim(5.0, 0.0, 0.02585, 0.6).1,
+            "limiting is on by default"
+        );
+        assert!(st.fetlim(9.0, 0.0, 1.0).1);
+        let st = st.limit_free();
+        assert_eq!(st.pnjlim(5.0, 0.0, 0.02585, 0.6), (5.0, false));
+        assert_eq!(st.fetlim(9.0, 0.0, 1.0), (9.0, false));
+    }
+
+    #[test]
+    fn residual_only_drops_the_jacobian_and_keeps_the_residual() {
+        let mut r = vec![0.0; 2];
+        let mut st = Stamper::residual_only(&mut r);
+        st.conductance(Node::new(0), Node::new(1), 2.0);
+        st.current(Node::new(0), Node::new(1), 0.5);
+        assert!(st.finish());
+        assert_eq!(r, [0.5, -0.5]);
     }
 
     #[test]

@@ -8,16 +8,16 @@
 //! cursor walk over the slot table ([`SlotWriter`]) — no sorting, no
 //! hashing, no allocation.
 //!
-//! Bit-identity with [`crate::Triplet::to_csr`] is the design invariant: the
-//! pattern is the same stable `(row, col)` sort, and each slot's value is
-//! accumulated in push order (first touch assigns, later touches add),
-//! which is exactly the left-to-right duplicate summation `to_csr`
-//! performs. The first-touch *assignment* (rather than zero-then-add) also
-//! preserves signed zeros.
+//! Bit-identity with [`crate::Triplet::to_csr`] is the design invariant:
+//! both take the pattern and slot assignment from one shared stable
+//! `(row, col)` counting sort, and each slot's value is accumulated in push
+//! order (first touch assigns, later touches add), which is exactly the
+//! left-to-right duplicate summation `to_csr` performs. The first-touch
+//! *assignment* (rather than zero-then-add) also preserves signed zeros.
 
-use crate::sparse::CsrMatrix;
 #[cfg(test)]
 use crate::sparse::Triplet;
+use crate::sparse::{coo_pattern, CsrMatrix};
 
 /// A frozen map from an ordered stamp sequence to nnz slots of a CSR
 /// pattern.
@@ -69,41 +69,21 @@ impl StampSlots {
             assert!(r < rows, "row {r} out of bounds ({rows})");
             assert!(c < cols, "col {c} out of bounds ({cols})");
         }
-        // Stable sort of push indices by position — the same ordering
-        // `Triplet::to_csr` applies, so the deduplicated pattern matches.
-        let mut order: Vec<usize> = (0..targets.len()).collect();
-        order.sort_by_key(|&k| targets[k]);
-
-        let mut counts = vec![0usize; rows + 1];
-        let mut col_indices = Vec::with_capacity(targets.len());
-        let mut refs = vec![0u32; targets.len()];
-        let mut last: Option<(usize, usize)> = None;
-        for &k in &order {
-            let (r, c) = targets[k];
-            if last != Some((r, c)) {
-                counts[r + 1] += 1;
-                col_indices.push(c);
-                last = Some((r, c));
-            }
-            let slot = col_indices.len() - 1;
-            assert!(slot < (u32::MAX >> 1) as usize, "pattern too large for slot table");
-            refs[k] = (slot as u32) << 1;
-        }
-        for i in 0..rows {
-            counts[i + 1] += counts[i];
-        }
+        // The same pattern and slot assignment `Triplet::to_csr` uses.
+        let (matrix, slot_of) = coo_pattern(rows, cols, targets.len(), |k| targets[k]);
+        assert!(
+            matrix.nnz() <= (u32::MAX >> 1) as usize,
+            "pattern too large for slot table"
+        );
         // Tag each slot's first touch in *push* order.
-        let mut seen = vec![false; col_indices.len()];
-        for r in refs.iter_mut() {
-            let slot = (*r >> 1) as usize;
-            if !seen[slot] {
-                seen[slot] = true;
-                *r |= 1;
-            }
-        }
-        let nnz = col_indices.len();
-        let matrix = CsrMatrix::from_pattern(rows, cols, counts, col_indices);
-        debug_assert_eq!(matrix.nnz(), nnz);
+        let mut seen = vec![false; matrix.nnz()];
+        let refs = slot_of
+            .iter()
+            .map(|&slot| {
+                let first = !std::mem::replace(&mut seen[slot], true);
+                (slot as u32) << 1 | u32::from(first)
+            })
+            .collect();
         (matrix, StampSlots { rows, cols, refs })
     }
 

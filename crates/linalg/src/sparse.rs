@@ -73,6 +73,11 @@ impl Triplet {
         self.entries.is_empty()
     }
 
+    /// The raw entries in push order (duplicates not yet summed).
+    pub fn entries(&self) -> &[(usize, usize, f64)] {
+        &self.entries
+    }
+
     /// Pushes an entry. Duplicates are allowed and summed on conversion.
     ///
     /// # Panics
@@ -103,41 +108,91 @@ impl Triplet {
     /// *and* no entry was pushed there (structural zeros are never created;
     /// summed-to-zero entries are kept so the sparsity pattern is stable
     /// across Newton iterations).
+    ///
+    /// Each slot's value is the left-to-right sum of its stamps *in push
+    /// order* (the first stamp assigns, later ones add — a lone `-0.0`
+    /// survives). [`crate::StampSlots`] scatters with the same order over
+    /// the same pattern (one shared counting sort), which is what makes
+    /// plan-based assembly bit-identical to this path.
     pub fn to_csr(&self) -> CsrMatrix {
-        let mut counts = vec![0usize; self.rows + 1];
-        // Stable sort: duplicates of one position keep push order, so each
-        // slot's value is the left-to-right sum of its stamps *in stamping
-        // order*. [`crate::StampSlots`] scatters with the same order, which
-        // is what makes plan-based assembly bit-identical to this path.
-        let mut sorted: Vec<(usize, usize, f64)> = self.entries.clone();
-        sorted.sort_by_key(|a| (a.0, a.1));
-
-        let mut col_indices = Vec::with_capacity(sorted.len());
-        let mut values = Vec::with_capacity(sorted.len());
-        let mut last: Option<(usize, usize)> = None;
-        for (r, c, v) in sorted {
-            // `last` is only `Some` after at least one push, so `last_mut`
-            // matching it implies `values` is nonempty.
-            if let (true, Some(tail)) = (last == Some((r, c)), values.last_mut()) {
-                *tail += v;
+        let entries = &self.entries;
+        let (mut m, slot_of) = coo_pattern(self.rows, self.cols, entries.len(), |k| {
+            (entries[k].0, entries[k].1)
+        });
+        let mut touched = vec![false; m.nnz()];
+        for (&(_, _, v), &slot) in entries.iter().zip(&slot_of) {
+            if touched[slot] {
+                m.values[slot] += v;
             } else {
-                counts[r + 1] += 1;
-                col_indices.push(c);
-                values.push(v);
-                last = Some((r, c));
+                m.values[slot] = v;
+                touched[slot] = true;
             }
         }
-        for i in 0..self.rows {
-            counts[i + 1] += counts[i];
-        }
-        CsrMatrix {
-            rows: self.rows,
-            cols: self.cols,
-            row_ptr: counts,
-            col_indices,
-            values,
-        }
+        m
     }
+}
+
+/// The CSR pattern a sequence of `len` COO positions induces (values all
+/// `0.0`), plus the nnz slot each position lands in — the one sort behind
+/// [`Triplet::to_csr`] and [`crate::StampSlots::build`].
+///
+/// Positions are ordered by `(row, col)` with ties in push order: a
+/// two-pass counting sort, stable by column and then stable by row, in
+/// `O(len + rows + cols)`. Callers have bounds-checked every position.
+pub(crate) fn coo_pattern(
+    rows: usize,
+    cols: usize,
+    len: usize,
+    at: impl Fn(usize) -> (usize, usize),
+) -> (CsrMatrix, Vec<usize>) {
+    let mut start = bucket_starts(cols, len, |k| at(k).1);
+    let mut by_col = vec![0usize; len];
+    for k in 0..len {
+        let c = at(k).1;
+        by_col[start[c]] = k;
+        start[c] += 1;
+    }
+    let mut start = bucket_starts(rows, len, |k| at(k).0);
+    let mut order = vec![0usize; len];
+    for &k in &by_col {
+        let r = at(k).0;
+        order[start[r]] = k;
+        start[r] += 1;
+    }
+
+    let mut row_ptr = vec![0usize; rows + 1];
+    let mut col_indices = Vec::with_capacity(len);
+    let mut slot_of = vec![0usize; len];
+    let mut last: Option<(usize, usize)> = None;
+    for &k in &order {
+        let (r, c) = at(k);
+        if last != Some((r, c)) {
+            row_ptr[r + 1] += 1;
+            col_indices.push(c);
+            last = Some((r, c));
+        }
+        slot_of[k] = col_indices.len() - 1;
+    }
+    for i in 0..rows {
+        row_ptr[i + 1] += row_ptr[i];
+    }
+    (
+        CsrMatrix::from_pattern(rows, cols, row_ptr, col_indices),
+        slot_of,
+    )
+}
+
+/// Counting-sort bucket offsets: `start[b]` is where bucket `b` begins
+/// among `len` items keyed into `buckets` buckets.
+fn bucket_starts(buckets: usize, len: usize, key: impl Fn(usize) -> usize) -> Vec<usize> {
+    let mut start = vec![0usize; buckets + 1];
+    for k in 0..len {
+        start[key(k) + 1] += 1;
+    }
+    for b in 0..buckets {
+        start[b + 1] += start[b];
+    }
+    start
 }
 
 impl Extend<(usize, usize, f64)> for Triplet {
@@ -162,7 +217,7 @@ pub struct CsrMatrix {
 
 impl CsrMatrix {
     /// Builds a matrix from a raw CSR pattern with all values `0.0` — the
-    /// frozen-pattern constructor behind [`crate::StampSlots::build`].
+    /// frozen-pattern constructor behind [`coo_pattern`].
     /// `row_ptr` must be monotone with `row_ptr[rows]` entries total and
     /// every column index in bounds; callers in this crate establish that
     /// by construction.

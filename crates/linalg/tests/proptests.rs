@@ -27,7 +27,74 @@ fn dd_system() -> impl Strategy<Value = (CsrMatrix, Vec<f64>)> {
     })
 }
 
+/// The comparison-sort COO→CSR conversion `Triplet::to_csr` used before
+/// the counting sort: stable sort by `(row, col)`, then a left-to-right
+/// sum of each run of duplicates. Returns `(row_ptr, col_indices, values)`.
+fn comparison_sort_csr(
+    rows: usize,
+    entries: &[(usize, usize, f64)],
+) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
+    let mut sorted = entries.to_vec();
+    sorted.sort_by_key(|e| (e.0, e.1));
+    let mut row_ptr = vec![0usize; rows + 1];
+    let mut cols = Vec::new();
+    let mut values: Vec<f64> = Vec::new();
+    let mut last = None;
+    for (r, c, v) in sorted {
+        if last == Some((r, c)) {
+            *values.last_mut().unwrap() += v;
+        } else {
+            row_ptr[r + 1] += 1;
+            cols.push(c);
+            values.push(v);
+            last = Some((r, c));
+        }
+    }
+    for i in 0..rows {
+        row_ptr[i + 1] += row_ptr[i];
+    }
+    (row_ptr, cols, values)
+}
+
+/// Strategy: COO entries over a small (often non-square) shape, so
+/// positions repeat and rows stay empty; values are drawn from signed
+/// zeros, cancelling `±1e16` pairs, `1.0` and random values.
+fn coo_entries() -> impl Strategy<Value = (usize, usize, Vec<(usize, usize, f64)>)> {
+    (1usize..=6, 1usize..=6).prop_flat_map(|(rows, cols)| {
+        let entry = (0..rows, 0..cols, 0usize..6, -1.0f64..1.0).prop_map(|(r, c, pick, v)| {
+            let v = match pick {
+                0 => -0.0,
+                1 => 0.0,
+                2 => 1e16,
+                3 => -1e16,
+                4 => 1.0,
+                _ => v,
+            };
+            (r, c, v)
+        });
+        (
+            Just(rows),
+            Just(cols),
+            proptest::collection::vec(entry, 0..40),
+        )
+    })
+}
+
 proptest! {
+    #[test]
+    fn to_csr_matches_comparison_sort((rows, cols, entries) in coo_entries()) {
+        let mut t = Triplet::new(rows, cols);
+        for &(r, c, v) in &entries {
+            t.push(r, c, v);
+        }
+        let a = t.to_csr();
+        let (row_ptr, col_indices, values) = comparison_sort_csr(rows, &entries);
+        prop_assert_eq!(a.row_ptr(), &row_ptr[..]);
+        prop_assert_eq!(a.col_indices(), &col_indices[..]);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(a.values()), bits(&values));
+    }
+
     #[test]
     fn sparse_lu_solves_dd_systems((a, b) in dd_system()) {
         let lu = SparseLu::factorize(&a).expect("dd matrix is nonsingular");

@@ -115,12 +115,6 @@ impl Circuit {
         self.state_len
     }
 
-    /// Per-device offsets into the junction-limiting state vector, aligned
-    /// with [`Circuit::devices`].
-    pub(crate) fn state_offsets(&self) -> &[usize] {
-        &self.state_offsets
-    }
-
     /// Allocates a fresh (zeroed) device state vector. Pass it to every
     /// [`Circuit::assemble_into`] of a Newton run so devices remember their
     /// limited junction voltages between iterations.
@@ -152,10 +146,7 @@ impl Circuit {
         assert_eq!(state.len(), self.state_len, "state dimension mismatch");
         jacobian.clear();
         residual.fill(0.0);
-        let mut stamper = Stamper::new(jacobian, residual);
-        for (d, &off) in self.devices.iter().zip(&self.state_offsets) {
-            d.stamp(ctx, &mut stamper, &mut state[off..off + d.state_len()]);
-        }
+        self.stamp_all(ctx, &mut Stamper::new(jacobian, residual), state);
     }
 
     /// Convenience wrapper allocating fresh storage (including a fresh
@@ -168,44 +159,92 @@ impl Circuit {
         (j, r)
     }
 
-    /// Evaluates only the residual `F(x)` of the *original* system (default
-    /// gmin, full sources) — the steady-state test used by the PTA loop.
+    /// One limit-free assembly of the original system (default gmin, full
+    /// sources) at `x`: returns `(J(x) triplets, F(x))` — the true
+    /// linearization rather than a limited one. Certification and the AC
+    /// small-signal matrix evaluate this.
     ///
-    /// Junction limiting is bypassed by pre-seeding the throwaway state with
-    /// the actual junction voltages, so the returned residual is the true
-    /// `F(x)` rather than a limited linearization.
-    pub fn residual(&self, x: &[f64]) -> Vec<f64> {
+    /// Junction limiting is off for this pass (a limit-free [`Stamper`]),
+    /// so every device evaluates at its raw junction voltages; no limiter
+    /// history is read or kept.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != self.dim()`.
+    pub fn assemble_limit_free(&self, x: &[f64]) -> (Triplet, Vec<f64>) {
+        assert_eq!(x.len(), self.dim(), "operating point dimension mismatch");
         let ctx = EvalCtx::dc(x);
         let mut j = Triplet::with_capacity(self.dim(), self.dim(), 8 * self.devices.len());
         let mut r = vec![0.0; self.dim()];
-        let mut s = self.seeded_state(x);
-        self.assemble_into(&ctx, &mut j, &mut r, &mut s);
+        let mut s = self.new_state();
+        self.stamp_all(&ctx, &mut Stamper::new(&mut j, &mut r).limit_free(), &mut s);
+        (j, r)
+    }
+
+    /// Evaluates only the residual `F(x)` of the *original* system (default
+    /// gmin, full sources) — the steady-state test used by the PTA loop.
+    ///
+    /// One limit-free, residual-only pass: junction limiting is off, so the
+    /// result is the true `F(x)` rather than a limited linearization, and
+    /// Jacobian values are dropped as they are stamped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != self.dim()`.
+    pub fn residual(&self, x: &[f64]) -> Vec<f64> {
+        let mut r = vec![0.0; self.dim()];
+        let mut s = self.new_state();
+        self.residual_pass(x, &mut r, &mut s);
         r
     }
 
     /// Builds a state vector whose limited junction voltages equal the
     /// actual junction voltages at `x`, so the next evaluation at `x` is
-    /// limit-free. Achieved by evaluating twice: the limiter walk converges
-    /// to the true voltage once the state is close.
+    /// limit-free. One limit-free, residual-only pass over a fresh state:
+    /// with limiting off every device records its raw junction voltages.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != self.dim()`.
     pub fn seeded_state(&self, x: &[f64]) -> Vec<f64> {
-        let mut s = self.new_state();
-        let ctx = EvalCtx::dc(x);
-        let mut j = Triplet::new(self.dim(), self.dim());
         let mut r = vec![0.0; self.dim()];
-        // A handful of walks is enough for any realistic bias point.
-        for _ in 0..64 {
-            let before = s.clone();
-            self.assemble_into(&ctx, &mut j, &mut r, &mut s);
-            let moved = s
-                .iter()
-                .zip(&before)
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0, f64::max);
-            if moved < 1e-12 {
-                break;
-            }
-        }
+        let mut s = self.new_state();
+        self.residual_pass(x, &mut r, &mut s);
         s
+    }
+
+    /// Appends every device's ground-filtered `(row, col)` Jacobian targets,
+    /// in push order, to `targets` — the structural declare pass (at
+    /// `x = 0` with scratch residual and state; the stamp sequence is
+    /// operating-point independent). Stamp plans resolve and re-verify
+    /// against it and the service derives its structure key from it.
+    ///
+    /// No fault-injection draws are consumed (declare-mode [`Stamper`]).
+    pub fn declare_targets(&self, targets: &mut Vec<(usize, usize)>) {
+        let x0 = vec![0.0; self.dim()];
+        let mut scratch_res = vec![0.0; self.dim()];
+        let mut scratch_state = self.new_state();
+        self.stamp_all(
+            &EvalCtx::dc(&x0),
+            &mut Stamper::declare(targets, &mut scratch_res),
+            &mut scratch_state,
+        );
+    }
+
+    /// A limit-free, residual-only pass at `x` into zeroed `residual`,
+    /// leaving the raw junction voltages in `state`.
+    fn residual_pass(&self, x: &[f64], residual: &mut [f64], state: &mut [f64]) {
+        assert_eq!(x.len(), self.dim(), "operating point dimension mismatch");
+        let mut st = Stamper::residual_only(residual).limit_free();
+        self.stamp_all(&EvalCtx::dc(x), &mut st, state);
+    }
+
+    /// Stamps every device through `st`, each on its slice of `state` —
+    /// the one device loop behind every assembly mode.
+    pub(crate) fn stamp_all(&self, ctx: &EvalCtx<'_>, st: &mut Stamper<'_>, state: &mut [f64]) {
+        for (d, &off) in self.devices.iter().zip(&self.state_offsets) {
+            d.stamp(ctx, st, &mut state[off..off + d.state_len()]);
+        }
     }
 }
 

@@ -1,21 +1,26 @@
 //! Precompiled stamp plans: index-resolved MNA assembly.
 //!
 //! A [`StampPlan`] is the structural half of two-phase assembly. One
-//! declare pass over the circuit (plus any solver extra stamps) records
-//! every ground-filtered `(row, col)` Jacobian target in push order and
-//! binds the sequence to direct nnz-slot indices in a frozen CSR pattern
-//! via [`StampSlots`]. Every later evaluation ([`StampPlan::eval_into`])
-//! replays the sequence through the slot table — no triplet allocation, no
-//! sorting, no hashing, just a cursor walk scattering values in place.
+//! declare pass over the circuit ([`Circuit::declare_targets`], plus any
+//! solver extra stamps) records every ground-filtered `(row, col)`
+//! Jacobian target in push order and binds the sequence to direct
+//! nnz-slot indices in a frozen CSR pattern via [`StampSlots`]. Every later
+//! evaluation ([`StampPlan::eval_into`]) replays the sequence through the
+//! slot table — no triplet allocation, no sorting, no hashing, just a
+//! cursor walk scattering values in place.
 //!
 //! This is the only assembly path the Newton loop runs. Bit-identity with
 //! [`Circuit::assemble_into`] followed by [`Triplet::to_csr`] — kept for
-//! independent re-assembly (certification, AC) and as the test oracle —
-//! is the contract: the same device code runs on both sides (the
-//! [`Stamper`] sink is what differs), the frozen pattern is the same
-//! stable sort, and each slot accumulates its duplicates in push order.
-//! See `rlpta-linalg::StampSlots` for the mechanics; the oracle tests are
+//! the test oracle, and (limit-free, [`Circuit::assemble_limit_free`]) for
+//! independent re-assembly in certification and AC — is the contract: the
+//! same device code runs on both sides (the [`Stamper`] sink is what
+//! differs), the frozen pattern comes from the same shared counting sort,
+//! and each slot accumulates its duplicates in push order. See
+//! `rlpta-linalg::StampSlots` for the mechanics; the oracle tests are
 //! `crates/core/tests/assembly_identity.rs` and `tests/assembly_oracle.rs`.
+//!
+//! The declare loop is shared: plan resolution, [`StampPlan::compatible_with`]
+//! and the service's structure key all run [`Circuit::declare_targets`].
 
 use crate::Circuit;
 use rlpta_devices::{EvalCtx, Stamper};
@@ -43,10 +48,10 @@ pub struct StampPlan {
 }
 
 impl StampPlan {
-    /// Resolves a plan for `circuit`: runs every device's structural
-    /// declare pass (at `x = 0`, scratch state — the stamp sequence is
-    /// operating-point independent) followed by `extra`, the solver's
-    /// extra-stamp hook in declare mode, then freezes the induced pattern.
+    /// Resolves a plan for `circuit`: runs the devices' structural declare
+    /// pass ([`Circuit::declare_targets`]) followed by `extra`, the
+    /// solver's extra-stamp hook in declare mode, then freezes the induced
+    /// pattern.
     ///
     /// `extra` must push the same ordered Jacobian targets the solver's
     /// evaluation-time hook will (values are ignored here). Solvers without
@@ -56,21 +61,11 @@ impl StampPlan {
     /// contract), so resolving a plan never shifts seeded NaN sequences.
     pub fn resolve(circuit: &Circuit, extra: &mut dyn FnMut(&mut Stamper<'_>)) -> StampPlan {
         let dim = circuit.dim();
-        let x0 = vec![0.0; dim];
-        let ctx = EvalCtx::dc(&x0);
-        let mut scratch_res = vec![0.0; dim];
-        let mut scratch_state = circuit.new_state();
         let mut targets = Vec::with_capacity(16 * circuit.devices().len() + 2 * dim);
-        for (d, &off) in circuit.devices().iter().zip(circuit.state_offsets()) {
-            d.declare_stamps(
-                &ctx,
-                &mut targets,
-                &mut scratch_res,
-                &mut scratch_state[off..off + d.state_len()],
-            );
-        }
+        circuit.declare_targets(&mut targets);
         let device_pushes = targets.len();
         {
+            let mut scratch_res = vec![0.0; dim];
             let mut st = Stamper::declare(&mut targets, &mut scratch_res);
             extra(&mut st);
         }
@@ -121,7 +116,8 @@ impl StampPlan {
     }
 
     /// Cheap structural re-verification, the plan-side analogue of
-    /// `SymbolicLu::compatible_with`: re-runs the device declare pass and
+    /// `SymbolicLu::compatible_with`: re-runs the device declare pass
+    /// ([`Circuit::declare_targets`]) and
     /// compares the target sequence against this plan's device prefix.
     /// Value-only edits (a sweep jittering source values) keep the sequence
     /// identical; any topology change breaks it.
@@ -129,23 +125,9 @@ impl StampPlan {
         if circuit.dim() != self.dim || circuit.state_len() != self.state_len {
             return false;
         }
-        let x0 = vec![0.0; self.dim];
-        let ctx = EvalCtx::dc(&x0);
-        let mut scratch_res = vec![0.0; self.dim];
-        let mut scratch_state = circuit.new_state();
         let mut fresh = Vec::with_capacity(self.device_pushes);
-        for (d, &off) in circuit.devices().iter().zip(circuit.state_offsets()) {
-            d.declare_stamps(
-                &ctx,
-                &mut fresh,
-                &mut scratch_res,
-                &mut scratch_state[off..off + d.state_len()],
-            );
-            if fresh.len() > self.device_pushes {
-                return false;
-            }
-        }
-        fresh.len() == self.device_pushes && fresh == self.targets[..self.device_pushes]
+        circuit.declare_targets(&mut fresh);
+        fresh == self.targets[..self.device_pushes]
     }
 
     /// Numeric assembly through the plan: zeroes `residual`, replays every
@@ -173,9 +155,7 @@ impl StampPlan {
         assert_eq!(state.len(), self.state_len, "state dimension mismatch");
         residual.fill(0.0);
         let mut st = Stamper::scatter(self.slots.writer(matrix), residual);
-        for (d, &off) in circuit.devices().iter().zip(circuit.state_offsets()) {
-            d.eval_into(ctx, &mut st, &mut state[off..off + d.state_len()]);
-        }
+        circuit.stamp_all(ctx, &mut st, state);
         extra(&mut st);
         st.finish()
     }

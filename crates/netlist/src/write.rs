@@ -16,13 +16,30 @@ fn node_name(circuit: &Circuit, node: Node) -> String {
     }
 }
 
+/// The element-card name for a device of kind `letter`: its own name, with
+/// the kind letter prefixed when the name does not start with it (any
+/// case). A card's first letter selects its device kind, so a flattened
+/// subcircuit device named `x0a.MP1` must be written `M.x0a.MP1` — bare,
+/// it would re-parse as a subcircuit instance.
+fn card_name(name: &str, letter: char) -> String {
+    if name
+        .chars()
+        .next()
+        .is_some_and(|c| c.eq_ignore_ascii_case(&letter))
+    {
+        name.to_owned()
+    } else {
+        format!("{letter}.{name}")
+    }
+}
+
 /// Serializes a circuit as a SPICE deck: title line, element cards and the
 /// `.model` cards the devices reference (deduplicated, one per distinct
 /// parameter set).
 ///
 /// Hierarchy is not reconstructed — subcircuit-expanded devices are written
-/// flat under their hierarchical names (`x1.R1`), which re-parse as plain
-/// devices.
+/// flat under their hierarchical names, prefixed with their kind letter
+/// (`x1.R1` is written `R.x1.R1`) so they re-parse as plain devices.
 ///
 /// # Example
 ///
@@ -61,7 +78,7 @@ pub fn write_netlist(circuit: &Circuit) -> String {
                 let _ = writeln!(
                     out,
                     "{} {} {} {:e}",
-                    r.name(),
+                    card_name(r.name(), 'R'),
                     n(r.node_a()),
                     n(r.node_b()),
                     r.resistance()
@@ -71,7 +88,7 @@ pub fn write_netlist(circuit: &Circuit) -> String {
                 let _ = writeln!(
                     out,
                     "{} {} {} {:e}",
-                    c.name(),
+                    card_name(c.name(), 'C'),
                     n(c.node_a()),
                     n(c.node_b()),
                     c.capacitance()
@@ -81,17 +98,31 @@ pub fn write_netlist(circuit: &Circuit) -> String {
                 let _ = writeln!(
                     out,
                     "{} {} {} {:e}",
-                    l.name(),
+                    card_name(l.name(), 'L'),
                     n(l.node_a()),
                     n(l.node_b()),
                     l.inductance()
                 );
             }
             Device::Vsource(v) => {
-                let _ = writeln!(out, "{} {} {} {:e}", v.name(), n(v.pos()), n(v.neg()), v.dc());
+                let _ = writeln!(
+                    out,
+                    "{} {} {} {:e}",
+                    card_name(v.name(), 'V'),
+                    n(v.pos()),
+                    n(v.neg()),
+                    v.dc()
+                );
             }
             Device::Isource(i) => {
-                let _ = writeln!(out, "{} {} {} {:e}", i.name(), n(i.pos()), n(i.neg()), i.dc());
+                let _ = writeln!(
+                    out,
+                    "{} {} {} {:e}",
+                    card_name(i.name(), 'I'),
+                    n(i.pos()),
+                    n(i.neg()),
+                    i.dc()
+                );
             }
             Device::Vcvs(_) | Device::Vccs(_) | Device::Cccs(_) | Device::Ccvs(_) => {
                 // Controlled sources do not expose their terminals through
@@ -112,7 +143,7 @@ pub fn write_netlist(circuit: &Circuit) -> String {
                 let _ = writeln!(
                     out,
                     "{} {} {} {model}",
-                    dd.name(),
+                    card_name(dd.name(), 'D'),
                     n(dd.anode()),
                     n(dd.cathode())
                 );
@@ -128,7 +159,7 @@ pub fn write_netlist(circuit: &Circuit) -> String {
                 let _ = writeln!(
                     out,
                     "{} {} {} {} {model}",
-                    q.name(),
+                    card_name(q.name(), 'Q'),
                     n(q.collector()),
                     n(q.base()),
                     n(q.emitter())
@@ -154,7 +185,7 @@ pub fn write_netlist(circuit: &Circuit) -> String {
                 let _ = writeln!(
                     out,
                     "{} {} {} {} {} {model} W={:e} L=1e-6",
-                    mf.name(),
+                    card_name(mf.name(), 'M'),
                     n(mf.drain()),
                     n(mf.gate()),
                     n(mf.source()),
@@ -176,7 +207,7 @@ pub fn write_netlist(circuit: &Circuit) -> String {
                 let _ = writeln!(
                     out,
                     "{} {} {} {} {model}",
-                    j.name(),
+                    card_name(j.name(), 'J'),
                     n(j.drain()),
                     n(j.gate()),
                     n(j.source())
@@ -204,6 +235,27 @@ mod tests {
         let text = write_netlist(&a);
         let b = parse(&text).unwrap_or_else(|e| panic!("round trip failed: {e}\n{text}"));
         (a, b)
+    }
+
+    #[test]
+    fn flattened_subcircuit_devices_keep_their_kind() {
+        let (a, b) = roundtrip(
+            "t
+             V1 in 0 5
+             X1 in out HALF
+             .subckt HALF p q
+             R1 p q 1k
+             R2 q 0 1k
+             D1 q 0 DX
+             .ends
+             .model DX D(IS=1e-14)",
+        );
+        assert_eq!(a.devices().len(), b.devices().len());
+        let text = write_netlist(&a);
+        assert!(text.contains("\nR.x1.R1 "), "{text}");
+        assert!(text.contains("\nD.x1.D1 "), "{text}");
+        // Names that already start with their kind letter stay as they are.
+        assert!(text.contains("\nV1 "), "{text}");
     }
 
     #[test]

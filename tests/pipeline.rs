@@ -202,3 +202,42 @@ fn written_netlists_solve_to_the_same_operating_point() {
         }
     }
 }
+
+#[test]
+fn flattened_subcircuit_devices_survive_the_netlist_round_trip() {
+    use rlpta::circuits::families::{mos_adder, mos_voter};
+    use rlpta::core::DcEngine;
+    use rlpta::netlist::write_netlist;
+    let engine = DcEngine::builder().build();
+    let circuits = [
+        ("mos_adder2", mos_adder("a", 2)),
+        ("mos_voter5", mos_voter("v", 5)),
+        (
+            "fadd32",
+            rlpta::circuits::by_name("fadd32").unwrap().circuit,
+        ),
+        (
+            "voter25",
+            rlpta::circuits::by_name("voter25").unwrap().circuit,
+        ),
+    ];
+    for (name, c) in &circuits {
+        let text = write_netlist(c);
+        // The MOSFETs are flattened out of NAND2 subcircuits (`x0a.MP1`).
+        assert!(
+            text.to_ascii_lowercase().contains("\nm.x"),
+            "{name}: no flattened MOSFET card"
+        );
+        let reparsed = parse(&text).unwrap_or_else(|e| panic!("{name}: {e}\n{text}"));
+        assert_eq!(reparsed.devices().len(), c.devices().len(), "{name}");
+        assert_eq!(reparsed.dim(), c.dim(), "{name}");
+        let original = engine.solve(c).unwrap();
+        let again = engine.solve(&reparsed).unwrap();
+        for i in 0..c.num_nodes() {
+            let node = c.node_name(i);
+            let a = original.x[i];
+            let b = again.x[reparsed.node_index(node).unwrap()];
+            assert!((a - b).abs() < 1e-6, "{name}/{node}: {a} vs {b}");
+        }
+    }
+}
