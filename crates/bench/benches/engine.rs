@@ -15,8 +15,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rlpta_bench::{experiment_config, robust_budget};
 use rlpta_circuits::{by_name, families::mos_voter};
 use rlpta_core::{certify, DcEngine, PtaKind, PtaSolver, SimpleStepping, StructureKey};
-use rlpta_devices::EvalCtx;
-use rlpta_linalg::{CsrMatrix, FnvHasher, LuWorkspace, SparseLu, Triplet};
+use rlpta_devices::{Device, EvalCtx};
+use rlpta_linalg::{CsrMatrix, LuWorkspace, SparseLu, StampSlots, Triplet};
 use rlpta_mna::{Circuit, StampPlan};
 
 /// A suite circuit and its DC operating point from a robust solve.
@@ -202,34 +202,88 @@ fn comparison_sort_csr(
     (row_ptr, cols, values)
 }
 
-/// The structure key as it was derived before the declare pass: a triplet
-/// assembly at `x = 0`, the comparison-sort conversion, then the pattern
-/// and topology hash (the topology half costs the same as in
-/// `StructureKey::of`).
-fn walk_era_key(c: &Circuit) -> u64 {
-    let x0 = vec![0.0; c.dim()];
-    let (t, _) = c.assemble(&EvalCtx::dc(&x0));
-    let (row_ptr, cols, _) = comparison_sort_csr(t.rows(), t.entries());
-    let mut h = FnvHasher::new();
-    h.write_slice(&row_ptr);
-    h.write_slice(&cols);
+/// The retired byte-at-a-time FNV-1a fold (eight xor-multiplies per
+/// word, no final avalanche) that both retired key derivations used.
+struct BytewiseFnv(u64);
+
+impl BytewiseFnv {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        for byte in v.to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn write_slice(&mut self, vs: &[usize]) {
+        for &v in vs {
+            self.write_u64(v as u64);
+        }
+    }
+}
+
+/// The retired key's topology half: dimensions, then every device's kind
+/// tag, branch count and terminals (a stand-in tag per kind — the cost,
+/// not the value, is what is priced).
+fn bytewise_topology_hash(h: &mut BytewiseFnv, c: &Circuit) {
+    h.write_slice(&[c.num_nodes(), c.num_branches(), c.state_len()]);
     for d in c.devices() {
-        h.write_usize(d.branch_count());
+        h.write_u64(match d {
+            Device::Resistor(_) => 1,
+            Device::Mosfet(_) => 12,
+            _ => u64::MAX,
+        });
+        h.write_u64(d.branch_count() as u64);
         for n in d.nodes() {
             h.write_u64(n.index().map_or(u64::MAX, |i| i as u64));
         }
     }
-    h.finish()
+}
+
+/// The structure key as it was derived before the declare pass: a triplet
+/// assembly at `x = 0`, the comparison-sort conversion, then the pattern
+/// and topology hash.
+fn walk_era_key(c: &Circuit) -> u64 {
+    let x0 = vec![0.0; c.dim()];
+    let (t, _) = c.assemble(&EvalCtx::dc(&x0));
+    let (row_ptr, cols, _) = comparison_sort_csr(t.rows(), t.entries());
+    let mut h = BytewiseFnv::new();
+    h.write_slice(&row_ptr);
+    h.write_slice(&cols);
+    bytewise_topology_hash(&mut h, c);
+    h.0
+}
+
+/// The structure key as it was derived before it hashed the target
+/// sequence: a declare pass, the counting sort into a CSR pattern, then a
+/// byte-wise hash of the pattern and the topology.
+fn pattern_era_key(c: &Circuit) -> u64 {
+    let mut targets = Vec::new();
+    c.declare_targets(&mut targets);
+    let (pattern, _) = StampSlots::build(c.dim(), c.dim(), &targets);
+    let mut h = BytewiseFnv::new();
+    h.write_slice(&[pattern.rows(), pattern.cols()]);
+    h.write_slice(pattern.row_ptr());
+    h.write_slice(pattern.col_indices());
+    let pattern_hash = h.0;
+    let mut h = BytewiseFnv::new();
+    h.write_u64(pattern_hash);
+    bytewise_topology_hash(&mut h, c);
+    h.0
 }
 
 /// Limit-free evaluation: one limit-free pass against the retired limiter
 /// walk (up to 64 limited triplet assemblies, then one more) for the three
 /// entry points that used it — `Circuit::residual` (the PTA steady-state
 /// test), `certify` (assembly + LU + condition estimate) and
-/// `StructureKey::of` (declare-pass pattern against a triplet assembly
-/// plus comparison sort) — at each circuit's operating point, plus the
-/// COO→CSR conversion itself (counting sort against comparison sort) on
-/// the operating-point Jacobian's triplets.
+/// `StructureKey::of` (the target-sequence key against the two retired
+/// derivations: a triplet assembly plus comparison sort, and a declare
+/// pass plus counting sort, each hashed byte-wise) — at each circuit's
+/// operating point, plus the COO→CSR conversion itself (counting sort
+/// against comparison sort) on the operating-point Jacobian's triplets.
 fn bench_limit_free(c: &mut Criterion) {
     let mut group = c.benchmark_group("limit_free");
     group.sample_size(200);
@@ -272,7 +326,10 @@ fn bench_limit_free(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("key_triplet", name), |b| {
             b.iter(|| walk_era_key(circuit))
         });
-        group.bench_function(BenchmarkId::new("key_declare", name), |b| {
+        group.bench_function(BenchmarkId::new("key_pattern", name), |b| {
+            b.iter(|| pattern_era_key(circuit))
+        });
+        group.bench_function(BenchmarkId::new("key_targets", name), |b| {
             b.iter(|| StructureKey::of(circuit))
         });
         let (t, _) = circuit.assemble_limit_free(x);

@@ -8,17 +8,25 @@
 //! that, owning three pieces of cross-request state:
 //!
 //! 1. **A sharded, structure-keyed plan cache.** [`StructureKey`] hashes the
-//!    MNA sparsity pattern together with the device topology (kinds,
-//!    terminal wiring, branch unknowns) — and deliberately *not* parameter
-//!    values, so a 1 kΩ and a 2 kΩ divider share a key. Each entry holds the
-//!    [`SymbolicLu`] scatter plan recorded by an earlier solve (an
-//!    [`Arc`], shared with the workspaces that replay it), the resolved
-//!    [`StampPlan`] (so warm jobs skip stamp resolution and go straight to
-//!    the slot-table write pass) plus the last certified operating point as
-//!    a warm start. Eviction is LRU under a
-//!    byte budget; a cached plan that no longer matches the assembled
-//!    pattern (a hash collision, or a structural change that kept the key)
-//!    is **invalidated and re-recorded, never replayed stale** — and even a
+//!    ordered Jacobian target sequence of the circuit's device declare pass
+//!    ([`Circuit::declare_targets`], run once per job at admission)
+//!    together with the device topology (kinds, terminal wiring, branch
+//!    unknowns) and the MNA and limiter-state dimensions — and
+//!    deliberately *not* parameter values, so a 1 kΩ and a 2 kΩ divider
+//!    share a key. The sequence is hashed in push order, so the same
+//!    devices listed in a different order key apart: an extra miss, never
+//!    a wrong hit. Each entry holds the [`SymbolicLu`] scatter plan
+//!    recorded by an earlier solve (an [`Arc`], shared with the
+//!    [`LuWorkspace`] that replays it and handed back without a copy), the
+//!    resolved [`StampPlan`] (so warm jobs skip stamp resolution and go
+//!    straight to the slot-table write pass) plus the last certified
+//!    operating point as a warm start. Eviction is LRU under a byte budget.
+//!    A hit is verified before anything replays it — the job's declared
+//!    targets against the cached plan's, the cached [`SymbolicLu`] against
+//!    that plan's frozen pattern — from the admission-time declare pass, so
+//!    no second declare pass or sort runs. An entry that fails (a hash
+//!    collision, or a structural change that kept the key) is
+//!    **invalidated and re-recorded, never replayed stale** — and even a
 //!    bypassed check would be caught by [`LuWorkspace`]'s own guarded-replay
 //!    fallback, so staleness can cost time, not correctness.
 //! 2. **A bounded priority job queue with admission control.** Work enters
@@ -94,7 +102,7 @@ use crate::telemetry::{FanoutSink, FlightRecorder, MetricsRegistry, Payload, Sin
 use crate::Solution;
 use observe::priority_index;
 use rlpta_devices::Device;
-use rlpta_linalg::{CsrMatrix, FnvHasher, LuWorkspace, StampSlots, SymbolicLu};
+use rlpta_linalg::{FnvHasher, LuWorkspace, SymbolicLu};
 use rlpta_mna::{Circuit, StampPlan};
 use rlpta_threadpool::ThreadPool;
 use std::collections::HashMap;
@@ -113,49 +121,45 @@ pub type JobId = usize;
 // StructureKey
 // ---------------------------------------------------------------------------
 
-/// A stable digest of a circuit's *structure*: the MNA sparsity pattern
-/// plus the device topology (kinds, terminal wiring, branch-unknown
-/// layout). Parameter values are deliberately excluded — circuits that
-/// differ only in component values share a key, which is exactly the
-/// population whose symbolic LU analysis is interchangeable.
+/// A stable digest of a circuit's *structure*: the ordered Jacobian target
+/// sequence of its device declare pass ([`Circuit::declare_targets`]) plus
+/// the device topology (kinds, terminal wiring, branch-unknown layout) and
+/// the MNA and limiter-state dimensions. Parameter values are deliberately
+/// excluded — circuits that differ only in component values share a key,
+/// which is exactly the population whose stamp plan and symbolic LU
+/// analysis are interchangeable.
 ///
-/// The key carries the MNA dimension and pattern entry count alongside the
-/// hash, so two keys are equal only when hash *and* both counts agree;
-/// beyond that, every cache hit re-verifies the cached plan against the
-/// assembled pattern ([`SymbolicLu::compatible_with`]) before replaying —
-/// a collision is detected, counted as an invalidation, and re-analyzed.
+/// The targets are hashed in push order, not as a sorted pattern: the
+/// same devices listed in a different order key apart (an extra cache
+/// miss), never onto each other's plan. The key carries the MNA dimension
+/// and the declared push count alongside the hash, so two keys are equal
+/// only when hash *and* both counts agree; beyond that, every cache hit
+/// re-verifies the cached stamp plan against the job's declared targets
+/// and the cached [`SymbolicLu`] against that plan's frozen pattern before
+/// replaying — a collision is detected, counted as an invalidation, and
+/// re-analyzed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StructureKey {
     dim: usize,
-    nnz: usize,
+    pushes: usize,
     hash: u64,
 }
 
 impl StructureKey {
-    /// Computes the key for `circuit` from the pattern of its device
-    /// declare pass ([`Circuit::declare_targets`]) — device stamps touch the
-    /// same matrix positions at every operating point, and the declared
-    /// targets are exactly the positions an assembly pushes, so the pattern
-    /// equals the assembled Jacobian's.
+    /// Computes the key for `circuit` from one device declare pass
+    /// ([`Circuit::declare_targets`]) — device stamps push the same
+    /// targets in the same order at every operating point, so the sequence
+    /// is a property of the structure alone.
     pub fn of(circuit: &Circuit) -> Self {
-        Self::with_matrix(circuit).0
+        Self::declared(circuit).0
     }
 
-    /// [`StructureKey::of`] plus the Jacobian pattern (values zero), for
-    /// callers that need the matrix to validate a cached plan without
-    /// declaring twice.
-    pub(crate) fn with_matrix(circuit: &Circuit) -> (Self, CsrMatrix) {
-        let mut targets = Vec::new();
+    /// [`StructureKey::of`] plus the declared targets it hashed, which the
+    /// service keeps to verify a cache hit without declaring twice.
+    pub(crate) fn declared(circuit: &Circuit) -> (Self, Vec<(usize, usize)>) {
+        let mut targets = Vec::with_capacity(16 * circuit.devices().len());
         circuit.declare_targets(&mut targets);
-        let (csr, _) = StampSlots::build(circuit.dim(), circuit.dim(), &targets);
-        (Self::from_pattern(circuit, &csr), csr)
-    }
-
-    /// Hashes `pattern` (the circuit's Jacobian pattern) together with the
-    /// circuit's device topology.
-    fn from_pattern(circuit: &Circuit, pattern: &CsrMatrix) -> Self {
         let mut h = FnvHasher::new();
-        h.write_u64(pattern.pattern_hash());
         h.write_usize(circuit.num_nodes());
         h.write_usize(circuit.num_branches());
         h.write_usize(circuit.state_len());
@@ -166,11 +170,17 @@ impl StructureKey {
                 h.write_u64(node.index().map_or(u64::MAX, |i| i as u64));
             }
         }
-        Self {
-            dim: circuit.dim(),
-            nnz: pattern.nnz(),
-            hash: h.finish(),
+        for &(row, col) in &targets {
+            // One word per target. An index past 32 bits would only alias
+            // within the word, and every hit compares the targets exactly.
+            h.write_u64(((row as u64) << 32) ^ col as u64);
         }
+        let key = Self {
+            dim: circuit.dim(),
+            pushes: targets.len(),
+            hash: h.finish(),
+        };
+        (key, targets)
     }
 
     /// MNA dimension of the keyed structure.
@@ -178,13 +188,14 @@ impl StructureKey {
         self.dim
     }
 
-    /// Entry count of the keyed sparsity pattern.
-    pub fn nnz(&self) -> usize {
-        self.nnz
+    /// Number of Jacobian targets the keyed structure's device declare pass
+    /// pushes (duplicates included — not the pattern's entry count).
+    pub fn pushes(&self) -> usize {
+        self.pushes
     }
 
-    /// The combined pattern + topology hash (the value carried by the
-    /// cache telemetry events).
+    /// The combined target-sequence + topology hash (the value carried by
+    /// the cache telemetry events).
     pub fn hash(&self) -> u64 {
         self.hash
     }
@@ -192,7 +203,7 @@ impl StructureKey {
 
 impl fmt::Display for StructureKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:016x}/d{}n{}", self.hash, self.dim, self.nnz)
+        write!(f, "{:016x}/d{}p{}", self.hash, self.dim, self.pushes)
     }
 }
 
@@ -381,15 +392,16 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries dropped by LRU eviction under the byte budget.
     pub evictions: u64,
-    /// Entries dropped because the cached plan no longer matched the
-    /// assembled pattern (hash collision or structural drift): counted as
-    /// a miss *and* an invalidation.
+    /// Entries dropped because the cached stamp plan no longer matched the
+    /// job's declared targets, or the cached LU pattern no longer matched
+    /// that plan (hash collision or structural drift): counted as a miss
+    /// *and* an invalidation.
     pub invalidations: u64,
-    /// Lookups whose entry also carried a stamp plan still compatible with
-    /// the circuit — the group skips stamp resolution entirely.
+    /// Lookups that seeded the group with a cached stamp plan — the group
+    /// skips stamp resolution entirely. Every verified hit carries one.
     pub plan_hits: u64,
-    /// Lookups that had to (re-)resolve a stamp plan: a cold structure, an
-    /// entry predating plan capture, or a plan that failed re-verification.
+    /// Lookups that left the group to resolve its own stamp plan: every
+    /// miss, invalidations included.
     pub plan_misses: u64,
 }
 
@@ -406,11 +418,11 @@ impl CacheStats {
 }
 
 struct CacheEntry {
+    /// Recorded LU pattern, shared with the workspaces that replay it.
     symbolic: Arc<SymbolicLu>,
     /// Resolved stamp plan for this structure (shared with the assembly
-    /// workspaces that scatter through it); `None` for entries recorded by
-    /// a triplet-mode engine.
-    plan: Option<Arc<StampPlan>>,
+    /// workspaces that scatter through it); a hit is verified against it.
+    plan: Arc<StampPlan>,
     /// Last certified operating point for this structure, reusable as a
     /// warm start by the next job with the same key.
     warm: Option<Vec<f64>>,
@@ -437,7 +449,7 @@ struct PlanCache {
 
 struct CacheSeed {
     symbolic: Arc<SymbolicLu>,
-    plan: Option<Arc<StampPlan>>,
+    plan: Arc<StampPlan>,
     warm: Option<Vec<f64>>,
 }
 
@@ -469,86 +481,61 @@ impl PlanCache {
         *t
     }
 
-    /// Looks `key` up, verifying the cached plan against the freshly
-    /// assembled pattern. An incompatible entry is removed (invalidation)
-    /// and reported as a miss — the service re-records a fresh analysis
-    /// rather than replaying a stale plan. A cached *stamp plan* is
-    /// re-verified against the circuit the same way (a cheap structural
-    /// declare pass); a stale plan is dropped from the seed, never
-    /// scattered through.
-    fn lookup(
-        &self,
-        key: &StructureKey,
-        pattern: &CsrMatrix,
-        circuit: &Circuit,
-        tele: &Tele<'_>,
-    ) -> Option<CacheSeed> {
+    /// Looks `job`'s key up, verifying the entry before anything replays
+    /// it: the cached stamp plan must accept the job's declared targets
+    /// ([`StampPlan::compatible_with`]) and the cached [`SymbolicLu`] must
+    /// match that plan's frozen pattern ([`SymbolicLu::compatible_with`]).
+    /// Both checks reuse the admission-time declare pass — no second
+    /// declare pass or sort. An entry failing either is removed
+    /// (invalidation) and reported as a miss: the service re-records a
+    /// fresh analysis rather than replaying a stale one.
+    fn lookup(&self, job: &QueuedJob, tele: &Tele<'_>) -> Option<CacheSeed> {
+        let key = &job.key;
         let tick = self.next_tick();
         let mut shard = lock(self.shard(key));
-        let compatible = match shard.entries.get_mut(key) {
-            Some(entry) => {
-                if entry.symbolic.compatible_with(pattern) {
-                    entry.last_used = tick;
-                    true
-                } else {
-                    false
-                }
+        let mut invalidated = false;
+        let seed = match shard.entries.get_mut(key) {
+            None => None,
+            Some(entry)
+                if entry.plan.compatible_with(
+                    job.circuit.dim(),
+                    job.circuit.state_len(),
+                    &job.targets,
+                ) && entry.symbolic.compatible_with(entry.plan.pattern()) =>
+            {
+                entry.last_used = tick;
+                Some(CacheSeed {
+                    symbolic: Arc::clone(&entry.symbolic),
+                    plan: Arc::clone(&entry.plan),
+                    warm: entry.warm.clone(),
+                })
             }
-            None => {
-                drop(shard);
-                let mut stats = lock(&self.stats);
-                stats.misses += 1;
-                stats.plan_misses += 1;
-                drop(stats);
-                tele.emit(Payload::CacheMiss {
-                    key: key.hash,
-                    dim: key.dim,
-                });
-                return None;
+            Some(_) => {
+                if let Some(dead) = shard.entries.remove(key) {
+                    shard.bytes = shard.bytes.saturating_sub(dead.bytes);
+                }
+                invalidated = true;
+                None
             }
         };
-        if compatible {
-            let entry = &shard.entries[key];
-            let plan = entry
-                .plan
-                .as_ref()
-                .filter(|p| p.compatible_with(circuit))
-                .map(Arc::clone);
-            let seed = CacheSeed {
-                symbolic: Arc::clone(&entry.symbolic),
-                plan,
-                warm: entry.warm.clone(),
-            };
-            drop(shard);
-            let mut stats = lock(&self.stats);
+        drop(shard);
+        let mut stats = lock(&self.stats);
+        if seed.is_some() {
             stats.hits += 1;
-            if seed.plan.is_some() {
-                stats.plan_hits += 1;
-            } else {
-                stats.plan_misses += 1;
-            }
-            drop(stats);
-            tele.emit(Payload::CacheHit {
-                key: key.hash,
-                dim: key.dim,
-            });
-            Some(seed)
+            stats.plan_hits += 1;
         } else {
-            if let Some(dead) = shard.entries.remove(key) {
-                shard.bytes = shard.bytes.saturating_sub(dead.bytes);
-            }
-            drop(shard);
-            let mut stats = lock(&self.stats);
-            stats.invalidations += 1;
             stats.misses += 1;
             stats.plan_misses += 1;
-            drop(stats);
-            tele.emit(Payload::CacheMiss {
-                key: key.hash,
-                dim: key.dim,
-            });
-            None
+            stats.invalidations += u64::from(invalidated);
         }
+        drop(stats);
+        let (key, dim) = (key.hash, key.dim);
+        tele.emit(if seed.is_some() {
+            Payload::CacheHit { key, dim }
+        } else {
+            Payload::CacheMiss { key, dim }
+        });
+        seed
     }
 
     /// Inserts or refreshes the entry for `key`, then evicts
@@ -558,13 +545,13 @@ impl PlanCache {
         &self,
         key: StructureKey,
         symbolic: Arc<SymbolicLu>,
-        plan: Option<Arc<StampPlan>>,
+        plan: Arc<StampPlan>,
         warm: Option<Vec<f64>>,
         tele: &Tele<'_>,
     ) {
         let tick = self.next_tick();
         let bytes = symbolic.approx_bytes()
-            + plan.as_ref().map_or(0, |p| p.approx_bytes())
+            + plan.approx_bytes()
             + warm.as_ref().map_or(0, |w| w.len() * std::mem::size_of::<f64>());
         let mut shard = lock(self.shard(&key));
         if let Some(old) = shard.entries.insert(
@@ -862,7 +849,9 @@ struct QueuedJob {
     ticket: JobTicket,
     submitted: Instant,
     key: StructureKey,
-    pattern: CsrMatrix,
+    /// The device declare pass `key` was hashed from; a cache hit is
+    /// verified against it.
+    targets: Vec<(usize, usize)>,
     /// Whether the queue-scan watchdog already flagged this job (each job
     /// fires at most once while queued).
     watchdog_flagged: bool,
@@ -970,7 +959,7 @@ impl SimService {
                 }
             }
         }
-        let (key, pattern) = StructureKey::with_matrix(&circuit);
+        let (key, targets) = StructureKey::declared(&circuit);
         let seq = self.next_id;
         self.next_id += 1;
         self.monitor.counters.submitted[priority_index(ticket.priority)] += 1;
@@ -983,7 +972,7 @@ impl SimService {
             ticket,
             submitted: Instant::now(),
             key,
-            pattern,
+            targets,
             watchdog_flagged: false,
         });
         let sink = self.engine.telemetry();
@@ -1033,9 +1022,7 @@ impl SimService {
         let prepared: Vec<(StructureKey, Vec<QueuedJob>, Option<CacheSeed>)> = groups
             .into_iter()
             .map(|(key, jobs)| {
-                let seed = self
-                    .cache
-                    .lookup(&key, &jobs[0].pattern, &jobs[0].circuit, &tele);
+                let seed = self.cache.lookup(&jobs[0], &tele);
                 for job in &jobs {
                     tele.emit(Payload::JobAdmitted {
                         job: job.seq,
@@ -1067,20 +1054,7 @@ impl SimService {
         let mut out: Vec<(JobId, Result<Solution, ServiceError>)> = Vec::new();
         for slot in pooled {
             match slot {
-                Ok((key, group)) => {
-                    self.monitor.counters.watchdog_fires += group.watchdog_fires;
-                    self.monitor.counters.deadline_misses += group.deadline_misses;
-                    if let Some(symbolic) = group.symbolic {
-                        self.cache.insert(
-                            key,
-                            Arc::new(symbolic),
-                            group.plan,
-                            if self.warm_starts { group.warm } else { None },
-                            &tele,
-                        );
-                    }
-                    out.extend(group.results);
-                }
+                Ok((key, group)) => out.extend(self.absorb(key, group, &tele)),
                 Err(panic) => {
                     // The pool isolates the panic to this group; its jobs'
                     // ids are unrecoverable from the closure, so the
@@ -1126,7 +1100,7 @@ impl SimService {
                 });
             }
         }
-        let (key, pattern) = StructureKey::with_matrix(circuit);
+        let (key, targets) = StructureKey::declared(circuit);
         let seq = self.next_id;
         self.next_id += 1;
         self.monitor.counters.submitted[priority_index(ticket.priority)] += 1;
@@ -1135,21 +1109,21 @@ impl SimService {
         }
         let sink = self.engine.telemetry();
         let tele = Tele::root(&*sink, Span::default());
-        let seed = self.cache.lookup(&key, &pattern, circuit, &tele);
-        tele.emit(Payload::JobAdmitted {
-            job: seq,
-            key: key.hash,
-        });
         let job = QueuedJob {
             seq,
             circuit: circuit.clone(),
             ticket,
             submitted: Instant::now(),
             key,
-            pattern,
+            targets,
             watchdog_flagged: false,
         };
-        let mut group = run_group(
+        let seed = self.cache.lookup(&job, &tele);
+        tele.emit(Payload::JobAdmitted {
+            job: seq,
+            key: key.hash,
+        });
+        let group = run_group(
             &self.engine,
             self.policy.as_ref(),
             self.warm_starts,
@@ -1157,18 +1131,7 @@ impl SimService {
             seed,
             self.monitor.watchdog_factor,
         );
-        self.monitor.counters.watchdog_fires += group.watchdog_fires;
-        self.monitor.counters.deadline_misses += group.deadline_misses;
-        if let Some(symbolic) = group.symbolic {
-            self.cache.insert(
-                key,
-                Arc::new(symbolic),
-                group.plan,
-                if self.warm_starts { group.warm } else { None },
-                &tele,
-            );
-        }
-        let result = match group.results.pop() {
+        let result = match self.absorb(key, group, &tele).pop() {
             Some((_, result)) => result,
             None => Err(ServiceError::Solve(SolveError::WorkerPanic {
                 detail: "service group produced no result".to_string(),
@@ -1178,13 +1141,35 @@ impl SimService {
         self.tick();
         result
     }
+
+    /// Folds a finished group back into the service: its watchdog and
+    /// deadline counters, and a cache refresh for `key` with the group's LU
+    /// pattern and stamp plan — the very `Arc`s it was seeded with unless a
+    /// fallback re-recorded them — plus, with warm starts on, its last
+    /// certified operating point. Returns the group's results.
+    fn absorb(
+        &mut self,
+        key: StructureKey,
+        group: GroupOutcome,
+        tele: &Tele<'_>,
+    ) -> Vec<(JobId, Result<Solution, ServiceError>)> {
+        self.monitor.counters.watchdog_fires += group.watchdog_fires;
+        self.monitor.counters.deadline_misses += group.deadline_misses;
+        if let (Some(symbolic), Some(plan)) = (group.symbolic, group.plan) {
+            let warm = if self.warm_starts { group.warm } else { None };
+            self.cache.insert(key, symbolic, plan, warm, tele);
+        }
+        group.results
+    }
 }
 
 /// What one structure group hands back to the drain loop.
 struct GroupOutcome {
     results: Vec<(JobId, Result<Solution, ServiceError>)>,
-    /// The workspace's recorded plan after the chain — refreshes the cache.
-    symbolic: Option<SymbolicLu>,
+    /// The workspace's recorded LU pattern after the chain (the seeded
+    /// `Arc` itself unless a fallback re-recorded it) — refreshes the
+    /// cache.
+    symbolic: Option<Arc<SymbolicLu>>,
     /// The assembly workspace's resolved stamp plan after the chain —
     /// cached beside the symbolic analysis under the same key.
     plan: Option<Arc<StampPlan>>,
@@ -1211,19 +1196,16 @@ fn run_group(
     seed: Option<CacheSeed>,
     watchdog_factor: Option<f64>,
 ) -> GroupOutcome {
-    let mut ws = match &seed {
-        Some(seed) => LuWorkspace::with_symbolic((*seed.symbolic).clone()),
-        None => LuWorkspace::new(),
-    };
-    // A cache-shared stamp plan makes the whole chain a pure write pass:
-    // the first Newton run skips stamp resolution.
-    let mut asm = match seed.as_ref().and_then(|s| s.plan.clone()) {
-        Some(plan) => AssemblyWorkspace::with_plan(plan),
-        None => AssemblyWorkspace::new(),
-    };
-    let mut warm: Option<Vec<f64>> = match (&seed, warm_starts) {
-        (Some(seed), true) => seed.warm.clone(),
-        _ => None,
+    // A cache seed shares its LU pattern and stamp plan with the group (no
+    // copies): the first factorization is already a replay, and the whole
+    // chain is a pure write pass with no stamp resolution.
+    let (mut ws, mut asm, mut warm) = match seed {
+        Some(seed) => (
+            LuWorkspace::with_symbolic(seed.symbolic),
+            AssemblyWorkspace::with_plan(seed.plan),
+            seed.warm.filter(|_| warm_starts),
+        ),
+        None => (LuWorkspace::new(), AssemblyWorkspace::new(), None),
     };
     let sink = engine.telemetry();
     let mut watchdog_fires = 0u64;
@@ -1361,11 +1343,16 @@ mod tests {
         );
     }
 
+    /// The key hashes the declare pass, not a pattern, but the declare
+    /// pass must still be exactly what assembly pushes: the slot table
+    /// built over [`Circuit::declare_targets`] reproduces the pattern of a
+    /// triplet assembly on every suite circuit and the large MOS families.
     #[test]
-    fn declared_key_equals_the_triplet_assembled_key() {
+    fn declared_pattern_equals_the_triplet_assembled_pattern() {
         use rlpta_circuits::families::{mos_adder, mos_inverter_chain, mos_voter};
         use rlpta_circuits::{fig5, stress, table2, table3, training_corpus};
         use rlpta_devices::EvalCtx;
+        use rlpta_linalg::StampSlots;
 
         let mut circuits: Vec<Circuit> = [fig5(), table2(), table3(), training_corpus(), stress()]
             .into_iter()
@@ -1377,19 +1364,111 @@ mod tests {
         circuits.push(mos_voter("voter", 256));
         circuits.push(mos_inverter_chain("chain", 100));
         for c in &circuits {
-            // The key as derived before the declare pass: one triplet
-            // assembly at x = 0, converted by `to_csr`.
             let x0 = vec![0.0; c.dim()];
             let assembled = c.assemble(&EvalCtx::dc(&x0)).0.to_csr();
-            let (key, pattern) = StructureKey::with_matrix(c);
+            let (key, targets) = StructureKey::declared(c);
+            let (pattern, _) = StampSlots::build(c.dim(), c.dim(), &targets);
             assert!(pattern.same_pattern(&assembled), "{}", c.title());
-            assert_eq!(
-                key,
-                StructureKey::from_pattern(c, &assembled),
-                "{}",
-                c.title()
-            );
+            assert_eq!(key.pushes(), targets.len(), "{}", c.title());
         }
+    }
+
+    /// A queued job for `circuit`, analyzed the way `submit` does it.
+    fn queued(circuit: Circuit) -> QueuedJob {
+        let (key, targets) = StructureKey::declared(&circuit);
+        QueuedJob {
+            seq: 0,
+            circuit,
+            ticket: JobTicket::default(),
+            submitted: Instant::now(),
+            key,
+            targets,
+            watchdog_flagged: false,
+        }
+    }
+
+    /// The LU pattern the cache holds for `key`.
+    fn cached_symbolic(service: &SimService, key: &StructureKey) -> Option<Arc<SymbolicLu>> {
+        let shard = lock(service.cache.shard(key));
+        shard.entries.get(key).map(|e| Arc::clone(&e.symbolic))
+    }
+
+    #[test]
+    fn cache_hits_share_the_recorded_lu_pattern() {
+        let mut service = SimService::builder(DcEngine::builder().build())
+            .warm_starts(false)
+            .build();
+        service.solve(&clamp("5"), JobTicket::default()).expect("cold");
+        let job = queued(clamp("3"));
+        let key = job.key;
+        let cached = cached_symbolic(&service, &key).expect("cold solve cached");
+        // A hit seeds the group's workspace with the cache's own `Arc`, and
+        // a chain that never fell back hands that same `Arc` back…
+        let sink = service.engine.telemetry();
+        let tele = Tele::root(&*sink, Span::default());
+        let seed = service.cache.lookup(&job, &tele).expect("hit");
+        assert!(Arc::ptr_eq(&seed.symbolic, &cached));
+        let group = run_group(&service.engine, None, false, vec![job], Some(seed), None);
+        assert!(group.results[0].1.is_ok());
+        let returned = group.symbolic.as_ref().expect("pattern recorded");
+        assert!(Arc::ptr_eq(returned, &cached), "the group copied the pattern");
+        // …which the drain re-inserts as is.
+        service.absorb(key, group, &tele);
+        let after = cached_symbolic(&service, &key).expect("still cached");
+        assert!(Arc::ptr_eq(&after, &cached), "the cache re-inserted a copy");
+        // The public paths do the same.
+        service.solve(&clamp("7"), JobTicket::default()).expect("hit");
+        service.submit(clamp("2"), JobTicket::default()).expect("admit");
+        assert!(service.drain()[0].1.is_ok());
+        let after = cached_symbolic(&service, &key).expect("still cached");
+        assert!(Arc::ptr_eq(&after, &cached));
+        assert_eq!(service.cache_stats().hits, 3);
+    }
+
+    #[test]
+    fn colliding_entries_are_invalidated_not_replayed() {
+        let mut service = SimService::builder(DcEngine::builder().build())
+            .warm_starts(false)
+            .build();
+        service.solve(&divider("1k"), JobTicket::default()).expect("divider");
+        service.solve(&clamp("5"), JobTicket::default()).expect("clamp");
+        let sink = service.engine.telemetry();
+        let tele = Tele::root(&*sink, Span::default());
+        // A clamp job whose key collides with the divider's entry: the
+        // divider's plan rejects the clamp's declared targets.
+        let mut job = queued(clamp("3"));
+        let clamp_key = job.key;
+        job.key = StructureKey::of(&divider("2k"));
+        assert!(service.cache.lookup(&job, &tele).is_none());
+        assert_eq!(service.cache_stats().invalidations, 1);
+        assert!(cached_symbolic(&service, &job.key).is_none(), "entry dropped");
+        // A plan that matches but an LU pattern that does not (recorded
+        // from another structure of the same dimension, with no `in`–`out`
+        // coupling) is just as stale.
+        let foreign = {
+            let split = rlpta_netlist::parse("split\nV1 a 0 5\nR1 a 0 1k\nR2 b 0 1k\n")
+                .expect("parse");
+            let mut ws = LuWorkspace::new();
+            let mut asm = AssemblyWorkspace::new();
+            service
+                .engine
+                .solve_warm_with_assembly(&split, None, &mut ws, &mut asm, Span::default())
+                .expect("split solves");
+            Arc::clone(ws.symbolic().expect("recorded"))
+        };
+        {
+            let mut shard = lock(service.cache.shard(&clamp_key));
+            shard.entries.get_mut(&clamp_key).expect("clamp cached").symbolic = foreign;
+        }
+        job.key = clamp_key;
+        assert!(service.cache.lookup(&job, &tele).is_none());
+        let stats = service.cache_stats();
+        assert_eq!(stats.invalidations, 2);
+        assert_eq!(stats.hits, 0);
+        // The next solve re-records and hits again afterwards.
+        service.solve(&clamp("3"), JobTicket::default()).expect("re-recorded");
+        service.solve(&clamp("4"), JobTicket::default()).expect("hit");
+        assert_eq!(service.cache_stats().hits, 1);
     }
 
     #[test]

@@ -25,17 +25,26 @@
 //! iteration and it transparently uses the cheap path when it can.
 
 use crate::{CsrMatrix, LinalgError, SparseLu};
+use std::sync::Arc;
 
 const EMPTY: usize = usize::MAX;
 
-/// FNV-1a over machine words. The standard library's `DefaultHasher` is
-/// keyed per [`std::collections::hash_map::RandomState`] instance, so its
-/// values cannot serve as stable cache keys across processes; FNV is
+/// FNV-1a over machine words, finished with an avalanche step. The
+/// standard library's `DefaultHasher` is keyed per
+/// [`std::collections::hash_map::RandomState`] instance, so its values
+/// cannot serve as stable cache keys across processes; FNV is
 /// deterministic, collision-resistant enough for sparsity patterns (the
 /// caller additionally discriminates on dimension and entry count), and
 /// needs no dependency. Public so structure-keyed caches above this crate
 /// (e.g. `rlpta-core`'s service layer) can fold their own topology data
 /// into the same stable key space as [`CsrMatrix::pattern_hash`].
+///
+/// Each `u64` folds in as one word — one xor and one multiply, not eight.
+/// A word-wise multiply only carries information upward, so the low bits
+/// of the running state see only the low bits of the input;
+/// [`FnvHasher::finish`] therefore ends with an avalanche (MurmurHash3's
+/// `fmix64`) so that every output bit depends on every input bit —
+/// callers pick shards with `hash % shards`, i.e. from the low bits.
 #[derive(Debug, Clone, Copy)]
 pub struct FnvHasher(u64);
 
@@ -54,12 +63,9 @@ impl FnvHasher {
         Self(Self::OFFSET)
     }
 
-    /// Folds one `u64` in, byte by byte (little-endian).
+    /// Folds one `u64` in as a single word.
     pub fn write_u64(&mut self, v: u64) {
-        for byte in v.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
+        self.0 = (self.0 ^ v).wrapping_mul(Self::PRIME);
     }
 
     /// Folds one machine word in (as `u64`, so the hash is width-stable).
@@ -74,9 +80,14 @@ impl FnvHasher {
         }
     }
 
-    /// The accumulated hash.
+    /// The accumulated hash, avalanched (see the type docs).
     pub fn finish(self) -> u64 {
-        self.0
+        let mut h = self.0;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
     }
 }
 
@@ -614,7 +625,10 @@ pub enum LuOp {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct LuWorkspace {
-    symbolic: Option<SymbolicLu>,
+    /// The recorded pattern; an `Arc` so a cache can seed workspaces with
+    /// its entry and take the (possibly unchanged) pattern back without a
+    /// deep copy either way.
+    symbolic: Option<Arc<SymbolicLu>>,
     stats: LuStats,
     last_op: Option<LuOp>,
 }
@@ -637,9 +651,14 @@ impl LuWorkspace {
     /// a full, re-recorded factorization (visible as a `fallbacks` bump in
     /// [`LuWorkspace::stats`]) — a stale seed can cost one wasted attempt,
     /// never a wrong result.
-    pub fn with_symbolic(symbolic: SymbolicLu) -> Self {
+    ///
+    /// Accepts a shared `Arc<SymbolicLu>` (the cache's own entry — the
+    /// workspace replays it in place and [`LuWorkspace::symbolic`] hands
+    /// back the same `Arc` until a fallback re-records) or a plain
+    /// [`SymbolicLu`].
+    pub fn with_symbolic(symbolic: impl Into<Arc<SymbolicLu>>) -> Self {
         Self {
-            symbolic: Some(symbolic),
+            symbolic: Some(symbolic.into()),
             stats: LuStats::default(),
             last_op: None,
         }
@@ -648,8 +667,8 @@ impl LuWorkspace {
     /// Replaces the recorded pattern in place (same semantics as
     /// [`LuWorkspace::with_symbolic`] for an existing workspace). Counters
     /// and `last_op` are preserved.
-    pub fn preload(&mut self, symbolic: SymbolicLu) {
-        self.symbolic = Some(symbolic);
+    pub fn preload(&mut self, symbolic: impl Into<Arc<SymbolicLu>>) {
+        self.symbolic = Some(symbolic.into());
     }
 
     /// Factorizes `a`, reusing the recorded symbolic pattern when possible.
@@ -681,7 +700,7 @@ impl LuWorkspace {
         let lu = SparseLu::factorize(a)?;
         self.stats.full_factorizations += 1;
         self.last_op = Some(LuOp::Full);
-        self.symbolic = Some(lu.symbolic(a));
+        self.symbolic = Some(Arc::new(lu.symbolic(a)));
         Ok(lu)
     }
 
@@ -698,8 +717,9 @@ impl LuWorkspace {
         self.symbolic = None;
     }
 
-    /// The recorded pattern, if any.
-    pub fn symbolic(&self) -> Option<&SymbolicLu> {
+    /// The recorded pattern, if any — the seeded `Arc` itself until a
+    /// full factorization re-records it.
+    pub fn symbolic(&self) -> Option<&Arc<SymbolicLu>> {
         self.symbolic.as_ref()
     }
 
@@ -943,6 +963,28 @@ mod tests {
         assert!(sym.compatible_with(&a));
         assert!(sym.compatible_with(&scaled));
         assert!(!sym.compatible_with(&grown));
+    }
+
+    #[test]
+    fn fnv_finish_spreads_high_bit_differences_into_low_bits() {
+        // Inputs differing only above bit 32 must still land on every
+        // `hash % 8` shard: without the avalanche the low bits of a
+        // word-wise FNV see only the inputs' low bits, so all 64 would
+        // share one shard.
+        let mut shards = [0usize; 8];
+        for i in 0..64u64 {
+            let mut h = FnvHasher::new();
+            h.write_u64(i << 40);
+            shards[(h.finish() % 8) as usize] += 1;
+        }
+        assert!(shards.iter().all(|&n| n > 0), "{shards:?}");
+        // Word order is significant.
+        let fold = |vs: &[usize]| {
+            let mut h = FnvHasher::new();
+            h.write_slice(vs);
+            h.finish()
+        };
+        assert_ne!(fold(&[1, 2]), fold(&[2, 1]));
     }
 
     #[test]

@@ -19,8 +19,11 @@
 //! `rlpta-linalg::StampSlots` for the mechanics; the oracle tests are
 //! `crates/core/tests/assembly_identity.rs` and `tests/assembly_oracle.rs`.
 //!
-//! The declare loop is shared: plan resolution, [`StampPlan::compatible_with`]
-//! and the service's structure key all run [`Circuit::declare_targets`].
+//! The declare loop is shared: plan resolution and the service's structure
+//! key both run [`Circuit::declare_targets`], and
+//! [`StampPlan::compatible_with`] takes that pass's output, so a caller that
+//! already declared (the service, keying a job) re-verifies a cached plan
+//! without declaring again.
 
 use crate::Circuit;
 use rlpta_devices::{EvalCtx, Stamper};
@@ -116,18 +119,29 @@ impl StampPlan {
     }
 
     /// Cheap structural re-verification, the plan-side analogue of
-    /// `SymbolicLu::compatible_with`: re-runs the device declare pass
-    /// ([`Circuit::declare_targets`]) and
-    /// compares the target sequence against this plan's device prefix.
-    /// Value-only edits (a sweep jittering source values) keep the sequence
-    /// identical; any topology change breaks it.
-    pub fn compatible_with(&self, circuit: &Circuit) -> bool {
-        if circuit.dim() != self.dim || circuit.state_len() != self.state_len {
-            return false;
-        }
-        let mut fresh = Vec::with_capacity(self.device_pushes);
-        circuit.declare_targets(&mut fresh);
-        fresh == self.targets[..self.device_pushes]
+    /// `SymbolicLu::compatible_with`: whether a circuit of MNA dimension
+    /// `dim` and limiter-state length `state_len` whose device declare pass
+    /// ([`Circuit::declare_targets`]) produced `device_targets` can
+    /// evaluate through this plan — the dimensions agree and the target
+    /// sequence equals this plan's device prefix. Value-only edits (a sweep
+    /// jittering source values) keep the sequence identical; any topology
+    /// change breaks it.
+    pub fn compatible_with(
+        &self,
+        dim: usize,
+        state_len: usize,
+        device_targets: &[(usize, usize)],
+    ) -> bool {
+        dim == self.dim
+            && state_len == self.state_len
+            && device_targets == &self.targets[..self.device_pushes]
+    }
+
+    /// The frozen CSR pattern every evaluation scatters into (values
+    /// zero) — what a `SymbolicLu` recorded from this plan's matrices must
+    /// match.
+    pub fn pattern(&self) -> &CsrMatrix {
+        &self.template
     }
 
     /// Numeric assembly through the plan: zeroes `residual`, replays every
@@ -352,19 +366,31 @@ mod tests {
 
     #[test]
     fn compatible_with_accepts_value_edits_rejects_topology_changes() {
+        let compatible = |plan: &StampPlan, c: &Circuit| {
+            let mut targets = Vec::new();
+            c.declare_targets(&mut targets);
+            plan.compatible_with(c.dim(), c.state_len(), &targets)
+        };
         let mut c = diode_circuit();
         let plan = StampPlan::resolve(&c, &mut |_| {});
-        assert!(plan.compatible_with(&c));
+        assert!(compatible(&plan, &c));
         // Value-only edit: same structure.
         assert!(c.set_source_dc("V1", 4.9));
-        assert!(plan.compatible_with(&c));
+        assert!(compatible(&plan, &c));
         // Different topology: reject.
         let mut b = CircuitBuilder::new("other");
         let a = b.node("a");
         b.add(Vsource::new("V1", a, Node::GROUND, 1.0));
         b.add(Resistor::new("R1", a, Node::GROUND, 1.0));
         let other = b.build().unwrap();
-        assert!(!plan.compatible_with(&other));
+        assert!(!compatible(&plan, &other));
+        // Same targets, different limiter-state layout: reject.
+        let mut targets = Vec::new();
+        c.declare_targets(&mut targets);
+        assert!(!plan.compatible_with(c.dim(), c.state_len() + 1, &targets));
+        // Extra-stamp targets are not part of the device prefix.
+        let extra = StampPlan::resolve(&c, &mut |st| st.jac_raw(0, 0, 0.0));
+        assert!(extra.compatible_with(c.dim(), c.state_len(), &targets));
     }
 
     #[test]
