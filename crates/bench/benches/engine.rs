@@ -11,6 +11,10 @@
 #[path = "../../core/tests/support/limit_free_oracle.rs"]
 mod limit_free_oracle;
 
+#[allow(dead_code)]
+#[path = "../../core/tests/support/certify_oracle.rs"]
+mod certify_oracle;
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rlpta_bench::{experiment_config, robust_budget};
 use rlpta_circuits::{by_name, families::mos_voter};
@@ -343,12 +347,57 @@ fn bench_limit_free(c: &mut Criterion) {
     group.finish();
 }
 
+/// Certification at each circuit's operating point, three ways: the
+/// triplet oracle (limit-free triplet assembly, `to_csr`, fresh
+/// factorization — the path `certify` ran before), the public `certify`
+/// (a cold, throwaway device-only plan and a fresh factorization) and the
+/// warm path's work (a resolved plan's limit-free pass into a working
+/// buffer, then `SymbolicLu::factorize_fresh` over the pattern the solver
+/// recorded at the same point, the Hager estimate and the pivot growth).
+fn bench_certify(c: &mut Criterion) {
+    let mut group = c.benchmark_group("certify");
+    group.sample_size(200);
+    for name in ["gm1", "fadd32", "voter25"] {
+        let (circuit, x) = operating_point(name);
+        let (circuit, x) = (&circuit, x.as_slice());
+        group.bench_function(BenchmarkId::new("triplet_oracle", name), |b| {
+            b.iter(|| certify_oracle::certify(circuit, x))
+        });
+        group.bench_function(BenchmarkId::new("plan_cold", name), |b| {
+            b.iter(|| certify(circuit, x))
+        });
+        // The solver's last Jacobian at `x` (limited pass over the seeded
+        // state), factorized through a workspace to record its pattern.
+        let plan = StampPlan::resolve(circuit, &mut |_| {});
+        let mut m = plan.new_matrix();
+        let mut res = vec![0.0; circuit.dim()];
+        let mut state = circuit.seeded_state(x);
+        plan.eval_into(circuit, &EvalCtx::dc(x), &mut m, &mut res, &mut state, &mut |_| {});
+        let mut ws = LuWorkspace::new();
+        ws.factorize(&m).unwrap();
+        let sym = ws.symbolic().unwrap().clone();
+        group.bench_function(BenchmarkId::new("plan_warm_symbolic", name), |b| {
+            b.iter(|| {
+                plan.eval_limit_free_into(circuit, x, &mut m, &mut res);
+                let lu = sym.factorize_fresh(&m).unwrap();
+                (
+                    rlpta_linalg::norms::inf_norm(&res),
+                    lu.cond_estimate(&m).unwrap(),
+                    lu.pivot_growth(),
+                )
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_symbolic_reuse,
     bench_batch_engine,
     bench_telemetry_overhead,
     bench_assembly,
-    bench_limit_free
+    bench_limit_free,
+    bench_certify
 );
 criterion_main!(benches);

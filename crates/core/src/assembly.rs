@@ -3,10 +3,14 @@
 //! The solvers assemble `J(x)` through a precompiled [`StampPlan`]:
 //! resolve targets once per structure, then scatter values through the
 //! slot table into a persistent CSR buffer every iteration — no triplet
-//! allocation or sorting in the hot loop. The triplet path
-//! (`Circuit::assemble_into` + `Triplet::to_csr`) stays as the independent
-//! re-assembly behind `certify` and AC, and as the bitwise test oracle for
-//! the plan (`crates/core/tests/assembly_identity.rs`).
+//! allocation or sorting in the hot loop. Certification evaluates through
+//! the same workspace: the warm path lends its device-only plan and
+//! working buffer to `certify::Certifier`, which runs the plan's
+//! limit-free pass into the buffer (every slot is rewritten by the next
+//! solver evaluation). The triplet path (`Circuit::assemble_into` +
+//! `Triplet::to_csr`) stays behind AC's small-signal matrix and as the
+//! bitwise test oracle for the plan
+//! (`crates/core/tests/assembly_identity.rs`, `tests/certify_oracle.rs`).
 
 use rlpta_linalg::CsrMatrix;
 use rlpta_mna::{BumpPlan, StampPlan};

@@ -2,9 +2,10 @@
 //!
 //! A solver reporting "converged" is a claim about its *own* update norm —
 //! not proof the operating point satisfies KCL. This module re-derives the
-//! evidence from scratch at the returned iterate: it re-assembles the
-//! nonlinear residual `F(x)` (limiter-free, default Gmin, full sources),
-//! refactorizes the Jacobian `J(x)` and reads off three health signals:
+//! evidence at the returned iterate: it re-evaluates the nonlinear
+//! residual `F(x)` and the Jacobian `J(x)` of the original system
+//! (limiter-free, default Gmin, full sources), factorizes the Jacobian
+//! afresh and reads off three health signals:
 //!
 //! * **residual norm** — `‖F(x)‖_∞`, the direct KCL error,
 //! * **condition estimate** — Hager's 1-norm estimate of `κ₁(J)`
@@ -12,6 +13,22 @@
 //!   survives the linear algebra,
 //! * **pivot growth** — [`SparseLu::pivot_growth`], element growth during
 //!   elimination (the classic backward-stability red flag).
+//!
+//! "Independent" means independent of **solver state**: no limiter
+//! history, no Gmin or source-stepping scale, no PTA pseudo-element
+//! stamps, no pivot choices of the solve. The report is a pure function of
+//! the circuit and `x`. It is *not* independent of the stamp plan: the
+//! evaluation runs through a device-only [`StampPlan`]
+//! ([`StampPlan::eval_limit_free_into`]), which tier-1 oracles prove
+//! bitwise equal to triplet assembly, and the factorization is bitwise
+//! [`SparseLu::factorize`]'s — on the warm path through
+//! [`SymbolicLu::factorize_fresh`], which replays the solver's recorded LU
+//! pattern only where the fresh pivot rule provably picks the same pivots.
+//! The warm path ([`DcEngine`](crate::DcEngine)'s sweep points and every
+//! service job) certifies through its own plan and recorded pattern; the
+//! other gates and the public [`certify`] resolve a throwaway plan. The
+//! triplet re-assembly this replaced is the test oracle
+//! (`crates/core/tests/support/certify_oracle.rs`, `tests/certify_oracle.rs`).
 //!
 //! The three fold into a [`HealthGrade`]:
 //!
@@ -36,8 +53,8 @@
 use crate::error::SolveError;
 use crate::telemetry::{Payload, Tele};
 use crate::Solution;
-use rlpta_linalg::{norms, SparseLu};
-use rlpta_mna::Circuit;
+use rlpta_linalg::{norms, CsrMatrix, LinalgError, SparseLu, SymbolicLu};
+use rlpta_mna::{Circuit, StampPlan};
 
 /// Residual infinity-norm at or below which a solution can be graded
 /// [`HealthGrade::Certified`] — matches the plain Newton solver's default
@@ -133,123 +150,200 @@ fn grade_of(residual_norm: f64, cond: f64, growth: f64) -> HealthGrade {
     }
 }
 
-/// Independently certifies an operating point: re-assembles the residual
-/// and Jacobian at `x` from the circuit alone (no solver state) and grades
-/// the result. Pure — same circuit and `x` always produce the same report.
-pub fn certify(circuit: &Circuit, x: &[f64]) -> HealthReport {
-    if x.len() != circuit.dim() || !x.iter().all(|v| v.is_finite()) {
-        return HealthReport {
-            residual_norm: f64::INFINITY,
-            cond_estimate: f64::INFINITY,
-            pivot_growth: f64::INFINITY,
-            grade: HealthGrade::Rejected,
-        };
-    }
-    let (jac, res) = circuit.assemble_limit_free(x);
-    // `inf_norm` folds with `f64::max`, which discards NaN — scan first so a
-    // poisoned residual rejects instead of reading as 0.0.
-    let residual_norm = if res.iter().all(|v| v.is_finite()) {
-        norms::inf_norm(&res)
-    } else {
-        f64::INFINITY
-    };
-    let a = jac.to_csr();
-    let (cond_estimate, pivot_growth) = match SparseLu::factorize(&a) {
-        Ok(lu) => (
-            sanitize(lu.cond_estimate(&a).unwrap_or(f64::INFINITY)),
-            sanitize(lu.pivot_growth()),
-        ),
-        Err(_) => (f64::INFINITY, f64::INFINITY),
-    };
+/// The report of a point that cannot be evaluated: wrong dimension or a
+/// non-finite coordinate.
+fn rejected() -> HealthReport {
     HealthReport {
-        residual_norm: sanitize(residual_norm),
-        cond_estimate,
-        pivot_growth,
-        grade: grade_of(residual_norm, cond_estimate, pivot_growth),
+        residual_norm: f64::INFINITY,
+        cond_estimate: f64::INFINITY,
+        pivot_growth: f64::INFINITY,
+        grade: HealthGrade::Rejected,
     }
 }
 
-/// One rescue pass: up to [`RESCUE_STEPS`] Newton corrections at the
-/// current iterate, each linear solve iteratively refined to its residual
-/// plateau. Mutates `x` only with strictly improving steps; returns the
-/// best report seen.
-fn rescue_pass(
-    circuit: &Circuit,
-    x: &mut Vec<f64>,
-    equilibrate: bool,
-    mut best: HealthReport,
-    tele: &Tele<'_>,
-) -> HealthReport {
-    for step in 1..=RESCUE_STEPS {
-        let (jac, res) = circuit.assemble_limit_free(x);
-        if !res.iter().all(|v| v.is_finite()) {
-            break;
-        }
-        let a = jac.to_csr();
-        let lu = if equilibrate {
-            SparseLu::factorize_equilibrated(&a)
-        } else {
-            SparseLu::factorize(&a)
-        };
-        let Ok(lu) = lu else { break };
-        let neg_f: Vec<f64> = res.iter().map(|v| -v).collect();
-        let Ok(refined) = lu.solve_refined_capped(&a, &neg_f, RESCUE_REFINEMENT_CAP) else {
-            break;
-        };
-        let candidate: Vec<f64> = x.iter().zip(&refined.x).map(|(a, b)| a + b).collect();
-        let report = certify(circuit, &candidate);
-        tele.emit(Payload::RefinementStep {
-            step,
-            residual: report.residual_norm,
-        });
-        if report.residual_norm < best.residual_norm {
-            *x = candidate;
-            best = report;
-            if best.grade != HealthGrade::Rejected {
-                break;
-            }
-        } else {
-            // Corrections stopped paying — further steps from the same
-            // iterate would recompute the same stall.
-            break;
-        }
-    }
-    best
+/// Whether `x` is a point of `circuit`'s system that can be evaluated.
+fn admissible(circuit: &Circuit, x: &[f64]) -> bool {
+    x.len() == circuit.dim() && x.iter().all(|v| v.is_finite())
 }
 
-/// Certifies `solution` in place: grades it, attempts the refinement rescue
-/// when the grade is [`HealthGrade::Rejected`] (plain corrections first,
-/// then equilibrated refactorization), attaches the final [`HealthReport`]
-/// and emits one [`Payload::Certified`] event. Returns the final grade; the
-/// caller decides what a surviving `Rejected` means (the ladder demotes it,
-/// the engine surfaces [`SolveError::CertificationFailed`]).
+/// Independently certifies an operating point: re-evaluates the residual
+/// and Jacobian at `x` from the circuit alone (no solver state, through a
+/// throwaway device-only stamp plan) and grades the result. Pure — same
+/// circuit and `x` always produce the same report.
+pub fn certify(circuit: &Circuit, x: &[f64]) -> HealthReport {
+    let plan = StampPlan::resolve(circuit, &mut |_| {});
+    let mut matrix = plan.new_matrix();
+    Certifier::new(&plan, &mut matrix, None).report(circuit, x)
+}
+
+/// Certifies `solution` in place through a throwaway device-only plan —
+/// the gate of the ladder and of the direct Newton/PTA strategies, whose
+/// own plans carry solver stamps. See [`Certifier::certify_into`].
 pub(crate) fn certify_into(
     circuit: &Circuit,
     solution: &mut Solution,
     tele: &Tele<'_>,
 ) -> HealthGrade {
-    let mut report = certify(circuit, &solution.x);
-    if report.grade == HealthGrade::Rejected && solution.x.iter().all(|v| v.is_finite()) {
-        let mut x = solution.x.clone();
-        for equilibrate in [false, true] {
-            report = rescue_pass(circuit, &mut x, equilibrate, report, tele);
-            if report.grade != HealthGrade::Rejected {
+    let plan = StampPlan::resolve(circuit, &mut |_| {});
+    let mut matrix = plan.new_matrix();
+    Certifier::new(&plan, &mut matrix, None).certify_into(circuit, solution, tele)
+}
+
+/// The one certification body: what it evaluates through — a device-only
+/// [`StampPlan`] with a working matrix over its pattern, and optionally a
+/// recorded LU pattern to replay — and the grading and rescue on top.
+///
+/// The warm path lends its own workspaces (the plan, its working buffer
+/// and the solver's [`SymbolicLu`]); every slot of the buffer is
+/// overwritten here and again by the solver's next evaluation, and the
+/// pattern is only read. Reports are bitwise the same either way.
+pub(crate) struct Certifier<'a> {
+    plan: &'a StampPlan,
+    matrix: &'a mut CsrMatrix,
+    symbolic: Option<&'a SymbolicLu>,
+}
+
+impl<'a> Certifier<'a> {
+    /// A certifier over `plan` (device-only) and `matrix` (a buffer over
+    /// its pattern), replaying `symbolic` where it provably matches a
+    /// fresh factorization.
+    pub(crate) fn new(
+        plan: &'a StampPlan,
+        matrix: &'a mut CsrMatrix,
+        symbolic: Option<&'a SymbolicLu>,
+    ) -> Self {
+        Self {
+            plan,
+            matrix,
+            symbolic,
+        }
+    }
+
+    /// Bitwise [`SparseLu::factorize`] of the working matrix.
+    fn factorize(&self) -> Result<SparseLu, LinalgError> {
+        match self.symbolic {
+            Some(sym) => sym.factorize_fresh(self.matrix),
+            None => SparseLu::factorize(self.matrix),
+        }
+    }
+
+    /// Grades `x`: one limit-free evaluation, one fresh factorization.
+    fn report(&mut self, circuit: &Circuit, x: &[f64]) -> HealthReport {
+        if !admissible(circuit, x) {
+            return rejected();
+        }
+        let mut res = vec![0.0; circuit.dim()];
+        self.plan
+            .eval_limit_free_into(circuit, x, self.matrix, &mut res);
+        // `inf_norm` folds with `f64::max`, which discards NaN — scan first so a
+        // poisoned residual rejects instead of reading as 0.0.
+        let residual_norm = if res.iter().all(|v| v.is_finite()) {
+            norms::inf_norm(&res)
+        } else {
+            f64::INFINITY
+        };
+        let (cond_estimate, pivot_growth) = match self.factorize() {
+            Ok(lu) => (
+                sanitize(lu.cond_estimate(self.matrix).unwrap_or(f64::INFINITY)),
+                sanitize(lu.pivot_growth()),
+            ),
+            Err(_) => (f64::INFINITY, f64::INFINITY),
+        };
+        HealthReport {
+            residual_norm: sanitize(residual_norm),
+            cond_estimate,
+            pivot_growth,
+            grade: grade_of(residual_norm, cond_estimate, pivot_growth),
+        }
+    }
+
+    /// One rescue pass: up to [`RESCUE_STEPS`] Newton corrections at the
+    /// current iterate, each linear solve iteratively refined to its residual
+    /// plateau. Mutates `x` only with strictly improving steps; returns the
+    /// best report seen.
+    fn rescue_pass(
+        &mut self,
+        circuit: &Circuit,
+        x: &mut Vec<f64>,
+        equilibrate: bool,
+        mut best: HealthReport,
+        tele: &Tele<'_>,
+    ) -> HealthReport {
+        let mut res = vec![0.0; circuit.dim()];
+        for step in 1..=RESCUE_STEPS {
+            self.plan
+                .eval_limit_free_into(circuit, x, self.matrix, &mut res);
+            if !res.iter().all(|v| v.is_finite()) {
+                break;
+            }
+            let lu = if equilibrate {
+                SparseLu::factorize_equilibrated(self.matrix)
+            } else {
+                self.factorize()
+            };
+            let Ok(lu) = lu else { break };
+            let neg_f: Vec<f64> = res.iter().map(|v| -v).collect();
+            let Ok(refined) = lu.solve_refined_capped(self.matrix, &neg_f, RESCUE_REFINEMENT_CAP)
+            else {
+                break;
+            };
+            let candidate: Vec<f64> = x.iter().zip(&refined.x).map(|(a, b)| a + b).collect();
+            let report = self.report(circuit, &candidate);
+            tele.emit(Payload::RefinementStep {
+                step,
+                residual: report.residual_norm,
+            });
+            if report.residual_norm < best.residual_norm {
+                *x = candidate;
+                best = report;
+                if best.grade != HealthGrade::Rejected {
+                    break;
+                }
+            } else {
+                // Corrections stopped paying — further steps from the same
+                // iterate would recompute the same stall.
                 break;
             }
         }
-        if report.grade != HealthGrade::Rejected {
-            solution.x = x;
-        }
+        best
     }
-    tele.emit(Payload::Certified {
-        grade: report.grade.name().to_string(),
-        residual: report.residual_norm,
-        cond: report.cond_estimate,
-        growth: report.pivot_growth,
-    });
-    let grade = report.grade;
-    solution.health = Some(report);
-    grade
+
+    /// Certifies `solution` in place: grades it, attempts the refinement
+    /// rescue when the grade is [`HealthGrade::Rejected`] (plain corrections
+    /// first, then equilibrated refactorization), attaches the final
+    /// [`HealthReport`] and emits one [`Payload::Certified`] event. Returns
+    /// the final grade; the caller decides what a surviving `Rejected`
+    /// means (the ladder demotes it, the engine surfaces
+    /// [`SolveError::CertificationFailed`]).
+    pub(crate) fn certify_into(
+        &mut self,
+        circuit: &Circuit,
+        solution: &mut Solution,
+        tele: &Tele<'_>,
+    ) -> HealthGrade {
+        let mut report = self.report(circuit, &solution.x);
+        if report.grade == HealthGrade::Rejected && solution.x.iter().all(|v| v.is_finite()) {
+            let mut x = solution.x.clone();
+            for equilibrate in [false, true] {
+                report = self.rescue_pass(circuit, &mut x, equilibrate, report, tele);
+                if report.grade != HealthGrade::Rejected {
+                    break;
+                }
+            }
+            if report.grade != HealthGrade::Rejected {
+                solution.x = x;
+            }
+        }
+        tele.emit(Payload::Certified {
+            grade: report.grade.name().to_string(),
+            residual: report.residual_norm,
+            cond: report.cond_estimate,
+            growth: report.pivot_growth,
+        });
+        let grade = report.grade;
+        solution.health = Some(report);
+        grade
+    }
 }
 
 /// The [`SolveError`] a surviving rejection maps to.

@@ -54,7 +54,7 @@
 //! ladder. Batches and sweeps never use the raced path internally.
 
 use crate::assembly::AssemblyWorkspace;
-use crate::certify::{certify_into, HealthGrade};
+use crate::certify::{certify_into, Certifier, HealthGrade};
 use crate::error::{SolveError, SolvePhase};
 use crate::newton::{newton_iterate, NewtonConfig, NewtonRaphson};
 use crate::pta::{PtaConfig, PtaKind, PtaSolver};
@@ -1059,10 +1059,16 @@ impl DcEngine {
                     stats: fold.snapshot(),
                     health: None,
                 };
-                // A warm iterate that fails independent certification (even
-                // after the rescue) is treated like any other Newton defeat:
-                // fall through to the escalation ladder below.
-                if certify_into(work, &mut sol, &point_tele) != HealthGrade::Rejected {
+                // Certify through this chain's own device-only plan and
+                // recorded LU pattern: no second assembly path, and a
+                // replay instead of a fresh factorization wherever the
+                // fresh pivots match. A warm iterate that fails independent
+                // certification (even after the rescue) is treated like
+                // any other Newton defeat: fall through to the escalation
+                // ladder below.
+                let (plan, matrix) = asm.plan_and_matrix();
+                let mut certifier = Certifier::new(plan, matrix, lu_ws.symbolic().map(|s| &**s));
+                if certifier.certify_into(work, &mut sol, &point_tele) != HealthGrade::Rejected {
                     return Ok(sol);
                 }
             }

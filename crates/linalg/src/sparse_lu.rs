@@ -135,6 +135,16 @@ impl SparseLu {
                 pivot: 0.0,
             });
         }
+        Self::gilbert_peierls(a, ordering)
+    }
+
+    /// The factorization proper, on a square `a`, with no fault draw —
+    /// shared with [`SymbolicLu::factorize_fresh`](crate::SymbolicLu::factorize_fresh),
+    /// which draws once itself before choosing between a replay and this.
+    pub(crate) fn gilbert_peierls(
+        a: &CsrMatrix,
+        ordering: ColumnOrdering,
+    ) -> Result<Self, LinalgError> {
         let n = a.rows();
         let q = ordering.permutation(a);
         // Column access pattern: work on Aᵀ (CSR of transpose = CSC of A).
@@ -428,16 +438,26 @@ impl SparseLu {
                 expected: format!("length {}", self.n),
             });
         }
+        let mut work = vec![0.0; self.n];
+        let mut y = vec![0.0; self.n];
+        let mut x = vec![0.0; self.n];
+        self.solve_into(b, &mut work, &mut y, &mut x);
+        Ok(x)
+    }
+
+    /// [`SparseLu::solve`] into caller-owned buffers of length `n`: `work`
+    /// and `y` are scratch (overwritten, never read first), `x` receives
+    /// the solution.
+    fn solve_into(&self, b: &[f64], work: &mut [f64], y: &mut [f64], x: &mut [f64]) {
         // work[orig_row] starts as b and is progressively eliminated. Under
         // equilibration the factorization holds R·A·C, so solve
         // (R·A·C)·z = R·b and return x = C·z.
-        let mut work = b.to_vec();
+        work.copy_from_slice(b);
         if let Some(r) = &self.row_scale {
             for (wi, ri) in work.iter_mut().zip(r) {
                 *wi *= ri;
             }
         }
-        let mut y = vec![0.0; self.n];
         // Forward: L y = P b (unit diagonal).
         for j in 0..self.n {
             let yj = work[self.p[j]];
@@ -459,7 +479,6 @@ impl SparseLu {
             }
         }
         // Undo the column permutation: x[q[j]] = z[j].
-        let mut x = vec![0.0; self.n];
         for j in 0..self.n {
             x[self.q[j]] = y[j];
         }
@@ -468,7 +487,6 @@ impl SparseLu {
                 *xi *= ci;
             }
         }
-        Ok(x)
     }
 
     /// Solves `Aᵀ x = b` on the existing factorization — no transpose is
@@ -487,19 +505,44 @@ impl SparseLu {
                 expected: format!("length {}", self.n),
             });
         }
+        let mut y = vec![0.0; self.n];
+        let mut x = vec![0.0; self.n];
+        self.solve_transposed_into(b, &self.pinv(), &mut y, &mut x);
+        Ok(x)
+    }
+
+    /// The inverse row permutation: `pinv[orig_row]` = pivot position.
+    fn pinv(&self) -> Vec<usize> {
+        let mut pinv = vec![EMPTY; self.n];
+        for (j, &row) in self.p.iter().enumerate() {
+            pinv[row] = j;
+        }
+        pinv
+    }
+
+    /// [`SparseLu::solve_transposed`] into caller-owned buffers of length
+    /// `n`, with the inverse permutation ([`SparseLu::pinv`]) supplied by
+    /// the caller: `y` is scratch, `x` receives the solution.
+    fn solve_transposed_into(&self, b: &[f64], pinv: &[usize], y: &mut [f64], x: &mut [f64]) {
         // Under equilibration the factorization holds B = R·A·C, so
         // Bᵀ = C·Aᵀ·R: solve Bᵀ z = C·b and return x = R·z.
-        let mut v: Vec<f64> = (0..self.n).map(|j| b[self.q[j]]).collect();
-        if let Some(c) = &self.col_scale {
-            for (j, vj) in v.iter_mut().enumerate() {
-                *vj = b[self.q[j]] * c[self.q[j]];
+        match &self.col_scale {
+            Some(c) => {
+                for (j, yj) in y.iter_mut().enumerate() {
+                    *yj = b[self.q[j]] * c[self.q[j]];
+                }
+            }
+            None => {
+                for (j, yj) in y.iter_mut().enumerate() {
+                    *yj = b[self.q[j]];
+                }
             }
         }
-        // Forward: Uᵀ y = v. Row j of Uᵀ is column j of U (entries above the
-        // diagonal at pivot positions < j, plus the diagonal).
-        let mut y = vec![0.0; self.n];
+        // Forward: Uᵀ y = v, in place over v. Row j of Uᵀ is column j of U
+        // (entries above the diagonal at pivot positions < j, plus the
+        // diagonal).
         for j in 0..self.n {
-            let mut s = v[j];
+            let mut s = y[j];
             for k in self.u_ptr[j]..self.u_ptr[j + 1] {
                 s -= self.u_vals[k] * y[self.u_rows[k]];
             }
@@ -507,10 +550,6 @@ impl SparseLu {
         }
         // Backward: Lᵀ w = y (unit diagonal). L's row indices are original
         // row ids; map them to pivot positions via pinv.
-        let mut pinv = vec![EMPTY; self.n];
-        for (j, &row) in self.p.iter().enumerate() {
-            pinv[row] = j;
-        }
         for j in (0..self.n).rev() {
             let mut s = y[j];
             for k in self.l_ptr[j]..self.l_ptr[j + 1] {
@@ -519,7 +558,6 @@ impl SparseLu {
             y[j] = s;
         }
         // Undo the row permutation: x[p[j]] = w[j].
-        let mut x = vec![0.0; self.n];
         for j in 0..self.n {
             x[self.p[j]] = y[j];
         }
@@ -528,7 +566,6 @@ impl SparseLu {
                 *xi *= ri;
             }
         }
-        Ok(x)
     }
 
     /// Hager-style estimate of the 1-norm condition number `κ₁(A) =
@@ -540,7 +577,9 @@ impl SparseLu {
     ///
     /// The estimate is a lower bound that is almost always within a small
     /// factor of the truth — exactly the fidelity certification grading
-    /// needs (decades matter, digits do not).
+    /// needs (decades matter, digits do not). The buffers and the inverse
+    /// row permutation are set up once per estimate; the iterations
+    /// allocate nothing.
     ///
     /// # Errors
     ///
@@ -566,21 +605,26 @@ impl SparseLu {
         // Hager's algorithm on A⁻¹: maximize ‖A⁻¹ x‖₁ over ‖x‖₁ = 1.
         let n = self.n;
         let nf = n as f64;
+        let pinv = self.pinv();
         let mut x = vec![1.0 / nf; n];
+        let mut y = vec![0.0; n];
+        let mut xi = vec![0.0; n];
+        let mut z = vec![0.0; n];
+        let mut work = vec![0.0; n];
+        let mut scratch = vec![0.0; n];
         let mut inv_norm = 0.0f64;
         let mut last_j = EMPTY;
         for _ in 0..5 {
-            let y = self.solve(&x)?;
+            self.solve_into(&x, &mut work, &mut scratch, &mut y);
             let y_norm: f64 = y.iter().map(|v| v.abs()).sum();
             inv_norm = inv_norm.max(y_norm);
             if !y_norm.is_finite() {
                 break;
             }
-            let xi: Vec<f64> = y
-                .iter()
-                .map(|&v| if v >= 0.0 { 1.0 } else { -1.0 })
-                .collect();
-            let z = self.solve_transposed(&xi)?;
+            for (s, &v) in xi.iter_mut().zip(&y) {
+                *s = if v >= 0.0 { 1.0 } else { -1.0 };
+            }
+            self.solve_transposed_into(&xi, &pinv, &mut scratch, &mut z);
             let (j, z_max) = z
                 .iter()
                 .enumerate()
@@ -963,6 +1007,91 @@ mod tests {
         let i = CsrMatrix::identity(4);
         let k = SparseLu::factorize(&i).unwrap().cond_estimate(&i).unwrap();
         assert!((k - 1.0).abs() < 1e-12);
+    }
+
+    /// The Hager estimate's exact float program is pinned: these bits were
+    /// captured from the allocating implementation (a fresh inverse
+    /// permutation and fresh vectors on every solve). Reusing buffers must
+    /// not change a single operation, plain or equilibrated.
+    #[test]
+    fn cond_estimate_bits_are_pinned() {
+        let build = |n: usize, entries: &[(usize, usize, f64)]| {
+            let mut t = Triplet::new(n, n);
+            for &(r, c, v) in entries {
+                t.push(r, c, v);
+            }
+            t.to_csr()
+        };
+        let mna4 = build(
+            4,
+            &[
+                (0, 0, 3.0),
+                (0, 1, -1.0),
+                (1, 0, -1.0),
+                (1, 1, 4.0),
+                (1, 2, -2.0),
+                (2, 1, -2.0),
+                (2, 2, 5.0),
+                (2, 3, -1.0),
+                (3, 2, -1.0),
+                (3, 3, 2.0),
+            ],
+        );
+        // Structurally zero (0, 0): forces an off-diagonal row pivot.
+        let pivoting = build(
+            3,
+            &[
+                (0, 1, 1.0),
+                (0, 2, 2.0),
+                (1, 0, 3.0),
+                (1, 1, 1e-3),
+                (2, 0, 1.0),
+                (2, 2, -4.0),
+            ],
+        );
+        let scaled = build(
+            4,
+            &[
+                (0, 0, 1e9),
+                (0, 1, 1e9),
+                (1, 0, 1.0),
+                (1, 1, 2.0),
+                (1, 2, 1.0),
+                (2, 1, 1e-3),
+                (2, 2, 3e-3),
+                (2, 3, 1e-3),
+                (3, 2, 2.0),
+                (3, 3, 5.0),
+            ],
+        );
+        let random40 = {
+            let mut rng = StdRng::seed_from_u64(2022);
+            let n = 40;
+            let mut t = Triplet::new(n, n);
+            for i in 0..n {
+                t.push(i, i, 1e-2 + rng.gen::<f64>());
+                for _ in 0..3 {
+                    let j = rng.gen_range(0..n);
+                    t.push(i, j, rng.gen_range(-1.0..1.0));
+                }
+            }
+            t.to_csr()
+        };
+        let cases: [(&str, CsrMatrix, u64, u64); 4] = [
+            ("mna4", mna4, 0x401a_740d_a740_da74, 0x401a_740d_a740_da74),
+            ("pivoting", pivoting, 0x4018_0395_a82d_67a6, 0x4018_0395_a82d_67a6),
+            ("scaled", scaled, 0x427e_ec3d_ed29_c200, 0x427e_ec3d_ed29_c1ff),
+            ("random40", random40, 0x4094_e707_7318_0949, 0x4094_e707_7318_0969),
+        ];
+        for (name, a, plain, equilibrated) in cases {
+            let got = SparseLu::factorize(&a).unwrap().cond_estimate(&a).unwrap();
+            assert_eq!(got.to_bits(), plain, "{name} plain: {got:e}");
+            let got = SparseLu::factorize_equilibrated(&a)
+                .unwrap()
+                .cond_estimate(&a)
+                .unwrap();
+            assert_eq!(got.to_bits(), equilibrated, "{name} equilibrated: {got:e}");
+        }
     }
 
     #[test]

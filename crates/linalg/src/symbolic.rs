@@ -23,8 +23,15 @@
 //! caller redoes the full factorization (which re-pivots). [`LuWorkspace`]
 //! packages that retry policy: call [`LuWorkspace::factorize`] every
 //! iteration and it transparently uses the cheap path when it can.
+//!
+//! [`SymbolicLu::factorize_fresh`] is the stricter sibling for callers that
+//! need exactly what a fresh [`SparseLu::factorize`] returns (certification
+//! grades the pivot growth and condition of *that* factorization): the same
+//! replay loop, but each recorded pivot must be the row the fresh
+//! factorization's threshold rule would pick on the new values, and any
+//! doubt falls back to the fresh factorization itself.
 
-use crate::{CsrMatrix, LinalgError, SparseLu};
+use crate::{ColumnOrdering, CsrMatrix, LinalgError, SparseLu};
 use std::sync::Arc;
 
 const EMPTY: usize = usize::MAX;
@@ -155,6 +162,23 @@ struct ScatterPlan {
     src: Vec<usize>,
     /// Dense-workspace (pivot-position) destination of each entry.
     dst: Vec<usize>,
+    /// Whether the recorded column order `q` is the one
+    /// [`SparseLu::factorize`] computes for this structure (the ordering
+    /// depends on the structure alone) — the precondition for
+    /// [`SymbolicLu::factorize_fresh`] to replay at all.
+    default_order: bool,
+}
+
+/// How a replay checks each recorded pivot against the new values.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PivotRule {
+    /// [`SymbolicLu::refactorize`]: the recorded pivot may have drifted
+    /// from the fresh choice, as long as it stays above
+    /// [`SymbolicLu::REFACTOR_PIVOT_THRESHOLD`] of its column maximum.
+    Decay,
+    /// [`SymbolicLu::factorize_fresh`]: the recorded pivot must be the row
+    /// [`SparseLu::factorize`]'s threshold rule picks on these values.
+    Fresh,
 }
 
 impl SparseLu {
@@ -320,10 +344,63 @@ impl SymbolicLu {
         }
         if let Some(plan) = &self.plan {
             if plan.a_row_ptr == a.row_ptr() && plan.a_col_indices == a.col_indices() {
-                return self.replay_exact(a, plan);
+                return self.replay_exact(a, plan, PivotRule::Decay);
             }
         }
         self.replay_general(a)
+    }
+
+    /// Factorizes `a` and returns **bitwise** what [`SparseLu::factorize`]
+    /// returns — every factor, permutation and `max|A|`, or the same error
+    /// — replaying the recorded pattern when that provably gives the same
+    /// result.
+    ///
+    /// The replay runs only when `a` is structurally identical to the
+    /// recorded matrix and the recorded column order is the default one.
+    /// In each column it then checks that the recorded pivot is the row the
+    /// fresh factorization's threshold rule ([`SparseLu::PIVOT_THRESHOLD`])
+    /// would pick on these values: every candidate finite, the column not
+    /// singular, and either the recorded pivot is the diagonal and within
+    /// the threshold of the column maximum, or the diagonal misses the
+    /// threshold and the recorded pivot is the strictly unique maximum (a
+    /// tie would be broken by the fresh factorization's search order, which
+    /// the replay does not reproduce). With the same pivots the fresh
+    /// factorization computes the same patterns and performs the same
+    /// operations in the same order. Any failed check falls back to
+    /// [`SparseLu::factorize`].
+    ///
+    /// `self` is never modified: a workspace's recorded pattern, and so
+    /// every later replay it performs, is unaffected.
+    ///
+    /// Under the `faults` feature this consumes exactly the one
+    /// singular-pivot draw [`SparseLu::factorize`] consumes, on a replay
+    /// and on a fallback alike.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`SparseLu::factorize`].
+    pub fn factorize_fresh(&self, a: &CsrMatrix) -> Result<SparseLu, LinalgError> {
+        if a.rows() != a.cols() {
+            return SparseLu::factorize(a);
+        }
+        #[cfg(feature = "faults")]
+        if crate::faults::fire_singular() {
+            return Err(LinalgError::Singular {
+                step: 0,
+                pivot: 0.0,
+            });
+        }
+        if let Some(plan) = &self.plan {
+            if plan.default_order
+                && plan.a_row_ptr == a.row_ptr()
+                && plan.a_col_indices == a.col_indices()
+            {
+                if let Ok(lu) = self.replay_exact(a, plan, PivotRule::Fresh) {
+                    return Ok(lu);
+                }
+            }
+        }
+        SparseLu::gilbert_peierls(a, ColumnOrdering::default())
     }
 
     /// An empty numeric shell over the recorded pattern, ready for a replay
@@ -351,8 +428,8 @@ impl SymbolicLu {
         }
     }
 
-    /// Checks the recorded pivot for column `j` against the decay
-    /// threshold, then commits the pivot and the scaled `L` column.
+    /// Checks the recorded pivot for column `j` under `rule`, then commits
+    /// the pivot and the scaled `L` column.
     #[inline]
     fn commit_column(
         &self,
@@ -361,18 +438,24 @@ impl SymbolicLu {
         j: usize,
         ll: usize,
         lh: usize,
+        rule: PivotRule,
     ) -> Result<(), LinalgError> {
         let pivot = x[j];
-        let mut max_abs = pivot.abs();
-        for k in ll..lh {
-            max_abs = max_abs.max(x[self.l_pos[k]].abs());
-        }
-        let pivot_safe = pivot.is_finite()
-            && pivot.abs() >= f64::MIN_POSITIVE
-            && pivot.abs() >= Self::REFACTOR_PIVOT_THRESHOLD * max_abs;
-        if !pivot_safe {
-            // NaN/Inf pivots and NaN column maxima fail the comparisons
-            // and land here too.
+        let accepted = match rule {
+            PivotRule::Decay => {
+                let mut max_abs = pivot.abs();
+                for k in ll..lh {
+                    max_abs = max_abs.max(x[self.l_pos[k]].abs());
+                }
+                // NaN/Inf pivots and NaN column maxima fail the
+                // comparisons.
+                pivot.is_finite()
+                    && pivot.abs() >= f64::MIN_POSITIVE
+                    && pivot.abs() >= Self::REFACTOR_PIVOT_THRESHOLD * max_abs
+            }
+            PivotRule::Fresh => self.fresh_rule_picks_recorded(x, j, ll, lh),
+        };
+        if !accepted {
             return Err(LinalgError::PatternChanged { step: j });
         }
         lu.u_diag[j] = pivot;
@@ -382,9 +465,54 @@ impl SymbolicLu {
         Ok(())
     }
 
+    /// Whether [`SparseLu::factorize`]'s pivot search, run on column `j`'s
+    /// candidates (the recorded pivot at position `j` and the `L` rows at
+    /// `l_pos[ll..lh]` — exactly the rows it would find unpivoted), picks
+    /// the recorded pivot. Conservative: `false` whenever the answer would
+    /// depend on NaN handling, on a singular column or on how the search
+    /// breaks ties.
+    fn fresh_rule_picks_recorded(&self, x: &[f64], j: usize, ll: usize, lh: usize) -> bool {
+        let pivot_abs = x[j].abs();
+        if !pivot_abs.is_finite() {
+            return false;
+        }
+        // Where the column's own row (the fresh rule's preferred pivot)
+        // sits; it is a candidate only at position `j` or among the L rows.
+        let diag_pos = self.pinv[self.q[j]];
+        let mut diag_abs = 0.0f64;
+        let mut others_max = 0.0f64;
+        for k in ll..lh {
+            let pos = self.l_pos[k];
+            let v = x[pos].abs();
+            if !v.is_finite() {
+                return false;
+            }
+            others_max = others_max.max(v);
+            if pos == diag_pos {
+                diag_abs = v;
+            }
+        }
+        let max_abs = pivot_abs.max(others_max);
+        if max_abs < f64::MIN_POSITIVE {
+            return false;
+        }
+        let threshold = SparseLu::PIVOT_THRESHOLD * max_abs;
+        if diag_pos == j {
+            pivot_abs >= threshold
+        } else {
+            diag_abs < threshold && pivot_abs > others_max
+        }
+    }
+
     /// The hot path: structure already verified equal to the recorded
-    /// matrix, so scatter through the plan and run the bare numeric loop.
-    fn replay_exact(&self, a: &CsrMatrix, plan: &ScatterPlan) -> Result<SparseLu, LinalgError> {
+    /// matrix, so scatter through the plan and run the bare numeric loop,
+    /// checking each recorded pivot under `rule`.
+    fn replay_exact(
+        &self,
+        a: &CsrMatrix,
+        plan: &ScatterPlan,
+        rule: PivotRule,
+    ) -> Result<SparseLu, LinalgError> {
         let n = self.n;
         let vals = a.values();
         let mut lu = self.empty_lu(a);
@@ -425,7 +553,7 @@ impl SymbolicLu {
                 }
             }
 
-            self.commit_column(&mut lu, &x, j, ll, lh)?;
+            self.commit_column(&mut lu, &x, j, ll, lh, rule)?;
         }
         Ok(lu)
     }
@@ -491,7 +619,7 @@ impl SymbolicLu {
                 }
             }
 
-            self.commit_column(&mut lu, &x, j, ll, lh)?;
+            self.commit_column(&mut lu, &x, j, ll, lh, PivotRule::Decay)?;
         }
         Ok(lu)
     }
@@ -556,6 +684,7 @@ impl SymbolicLu {
             csc_ptr,
             src,
             dst,
+            default_order: self.q == ColumnOrdering::default().permutation(a),
         })
     }
 }
@@ -1055,5 +1184,278 @@ mod tests {
         }
         assert_eq!(ws.stats().full_factorizations, 1);
         assert_eq!(ws.stats().refactorizations, 49);
+    }
+
+    /// Bitwise equality of two factorizations: every factor field, the
+    /// permutations, `max|A|` and the scalings, plus the two health
+    /// figures certification reads off them.
+    fn assert_same_lu(a: &CsrMatrix, fresh: &SparseLu, full: &SparseLu) -> Result<(), String> {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let scale = |v: &Option<Vec<f64>>| v.as_deref().map(bits);
+        let same = fresh.n == full.n
+            && fresh.l_ptr == full.l_ptr
+            && fresh.l_rows == full.l_rows
+            && bits(&fresh.l_vals) == bits(&full.l_vals)
+            && fresh.u_ptr == full.u_ptr
+            && fresh.u_rows == full.u_rows
+            && bits(&fresh.u_vals) == bits(&full.u_vals)
+            && bits(&fresh.u_diag) == bits(&full.u_diag)
+            && fresh.p == full.p
+            && fresh.q == full.q
+            && fresh.max_abs_a.to_bits() == full.max_abs_a.to_bits()
+            && scale(&fresh.row_scale) == scale(&full.row_scale)
+            && scale(&fresh.col_scale) == scale(&full.col_scale)
+            && fresh.pivot_growth().to_bits() == full.pivot_growth().to_bits();
+        if !same {
+            return Err(format!("factors differ:\n{fresh:?}\nvs\n{full:?}"));
+        }
+        let cond = |lu: &SparseLu| lu.cond_estimate(a).map(f64::to_bits);
+        if cond(fresh) != cond(full) {
+            return Err("condition estimates differ".into());
+        }
+        Ok(())
+    }
+
+    /// `factorize_fresh(a)` against `SparseLu::factorize(a)`: the same
+    /// factorization bit for bit, or the same error. Returns whether the
+    /// replay branch was taken.
+    fn check_fresh(sym: &SymbolicLu, a: &CsrMatrix) -> Result<bool, String> {
+        let replayed = sym.plan.as_ref().is_some_and(|plan| {
+            plan.default_order
+                && plan.a_row_ptr == a.row_ptr()
+                && plan.a_col_indices == a.col_indices()
+                && sym.replay_exact(a, plan, PivotRule::Fresh).is_ok()
+        });
+        match (sym.factorize_fresh(a), SparseLu::factorize(a)) {
+            (Ok(fresh), Ok(full)) => assert_same_lu(a, &fresh, &full)?,
+            (Err(e1), Err(e2)) if format!("{e1:?}") == format!("{e2:?}") => {}
+            (got, want) => {
+                return Err(format!(
+                    "outcomes differ: {:?} vs {:?}",
+                    got.err(),
+                    want.err()
+                ))
+            }
+        }
+        Ok(replayed)
+    }
+
+    /// `(row, col, value)` triplets of one generated matrix.
+    type Entries = Vec<(usize, usize, f64)>;
+
+    fn from_entries(n: usize, entries: &[(usize, usize, f64)]) -> CsrMatrix {
+        let mut t = Triplet::new(n, n);
+        for &(r, c, v) in entries {
+            t.push(r, c, v);
+        }
+        t.to_csr()
+    }
+
+    /// One generated case: a matrix and a structurally identical copy with
+    /// other values to record the symbolic pattern from. Values come from a
+    /// small set, so candidates tie in magnitude and cancel to exact zeros;
+    /// diagonals are often structurally zero; a few entries are NaN or
+    /// ±Inf, and small systems of repeated values are often singular. The
+    /// recorded pivots are stale wherever the two copies' values disagree.
+    fn fresh_case() -> impl proptest::prelude::Strategy<Value = (usize, Entries, Entries)> {
+        use proptest::prelude::*;
+        fn value() -> impl Strategy<Value = f64> {
+            (0usize..16, -4.0f64..4.0).prop_map(|(pick, v)| match pick {
+                0 => 1.0,
+                1 => -1.0,
+                2 => 2.0,
+                3 => -0.5,
+                4 => 0.0,
+                5 => 1e-12,
+                6 => f64::NAN,
+                7 => f64::INFINITY,
+                _ => v,
+            })
+        }
+        (2usize..=9).prop_flat_map(|n| {
+            let entry = (0..n, 0..n, value(), value());
+            // A transversal `(i, (i + shift) % n)` keeps the structure
+            // nonsingular, so the recording copy factorizes; any nonzero
+            // shift leaves diagonals structurally zero.
+            let transversal = proptest::collection::vec((0usize..4, -4.0f64..4.0), n);
+            (
+                Just(n),
+                proptest::collection::vec(entry, 0..(3 * n)),
+                0..n,
+                transversal,
+            )
+                .prop_map(|(n, entries, shift, transversal)| {
+                    let mut a = Vec::new();
+                    let mut recorded = Vec::new();
+                    for (r, c, v, w) in entries {
+                        a.push((r, c, v));
+                        // The recording copy stays finite so it factorizes.
+                        recorded.push((r, c, if w.is_finite() { w } else { 3.0 }));
+                    }
+                    for (i, (pick, v)) in transversal.into_iter().enumerate() {
+                        let v: f64 = v;
+                        let c = (i + shift) % n;
+                        a.push((i, c, if pick == 0 { 1.0 } else { v }));
+                        recorded.push((i, c, 4.0 + v.abs()));
+                    }
+                    (n, a, recorded)
+                })
+        })
+    }
+
+    thread_local! {
+        /// `(replayed, fell back)` counts of the current thread's
+        /// [`factorize_fresh_cases`] run.
+        static FRESH_BRANCHES: std::cell::Cell<(usize, usize)> =
+            const { std::cell::Cell::new((0, 0)) };
+    }
+
+    proptest::proptest! {
+        fn factorize_fresh_cases(case in fresh_case()) {
+            let (n, entries, recorded) = case;
+            let a = from_entries(n, &entries);
+            let r = from_entries(n, &recorded);
+            proptest::prop_assume!(a.same_pattern(&r));
+            let Ok(lu) = SparseLu::factorize(&r) else {
+                return Err(proptest::prelude::TestCaseError::reject("recording copy singular"));
+            };
+            let sym = lu.symbolic(&r);
+            // A stale pattern from the perturbed copy, and the pattern of
+            // `a` itself when it factorizes.
+            let mut syms = vec![sym];
+            if let Ok(own) = SparseLu::factorize(&a) {
+                syms.push(own.symbolic(&a));
+            }
+            for sym in &syms {
+                let replayed =
+                    check_fresh(sym, &a).map_err(proptest::prelude::TestCaseError::fail)?;
+                FRESH_BRANCHES.with(|b| {
+                    let (hit, miss) = b.get();
+                    b.set(if replayed { (hit + 1, miss) } else { (hit, miss + 1) });
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn factorize_fresh_is_bitwise_factorize() {
+        FRESH_BRANCHES.with(|b| b.set((0, 0)));
+        factorize_fresh_cases();
+        let (replayed, fell_back) = FRESH_BRANCHES.with(|b| b.get());
+        assert!(replayed > 0, "replay branch never taken");
+        assert!(fell_back > 0, "fallback branch never taken");
+    }
+
+    #[test]
+    fn factorize_fresh_falls_back_on_each_failed_check() {
+        // Recorded with the diagonal pivots of a dominant diagonal.
+        let recorded = from_entries(2, &[(0, 0, 4.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 4.0)]);
+        let sym = SparseLu::factorize(&recorded).unwrap().symbolic(&recorded);
+        let cases: [(&str, [f64; 4], bool); 6] = [
+            ("same pivots", [3.0, 1.0, 1.0, 5.0], true),
+            // (0,0) below the 0.1 threshold: the fresh rule pivots on row
+            // 1, but the decay guard of `refactorize` would still accept.
+            ("stale pivot", [0.05, 1.0, 1.0, 4.0], false),
+            // Diagonal just at the threshold: still the diagonal.
+            ("threshold", [0.1, 1.0, 1.0, 4.0], true),
+            ("NaN candidate", [4.0, 1.0, f64::NAN, 4.0], false),
+            ("Inf pivot", [f64::INFINITY, 1.0, 1.0, 4.0], false),
+            ("singular", [0.0, 1.0, 0.0, 4.0], false),
+        ];
+        for (name, [a00, a01, a10, a11], hit) in cases {
+            let a = from_entries(2, &[(0, 0, a00), (0, 1, a01), (1, 0, a10), (1, 1, a11)]);
+            assert_eq!(check_fresh(&sym, &a), Ok(hit), "{name}");
+        }
+        let stale = from_entries(2, &[(0, 0, 0.05), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 4.0)]);
+        assert!(sym.refactorize(&stale).is_ok(), "decay guard accepts it");
+
+        // Column 0 is eliminated first and its diagonal is structurally
+        // zero, so the recorded pivot is the larger of rows 1 and 2: a
+        // strictly larger candidate replays, an exact tie falls back.
+        let with_row2 = |v: f64| {
+            from_entries(
+                3,
+                &[
+                    (1, 0, 3.0),
+                    (2, 0, v),
+                    (0, 1, 1.0),
+                    (1, 1, 1.0),
+                    (2, 1, 1.0),
+                    (0, 2, 2.0),
+                    (2, 2, 1.0),
+                ],
+            )
+        };
+        let recorded = with_row2(1.0);
+        let lu = SparseLu::factorize(&recorded).unwrap();
+        assert_eq!((lu.q[0], lu.p[0]), (0, 1));
+        let sym = lu.symbolic(&recorded);
+        assert_eq!(check_fresh(&sym, &with_row2(-2.5)), Ok(true));
+        assert_eq!(check_fresh(&sym, &with_row2(-3.0)), Ok(false), "tie");
+        assert_eq!(check_fresh(&sym, &with_row2(4.0)), Ok(false), "stale");
+
+        // Another structure, another column order: no replay.
+        assert_eq!(check_fresh(&sym, &CsrMatrix::identity(3)), Ok(false));
+        let natural = SparseLu::factorize_with(&recorded, ColumnOrdering::Natural).unwrap();
+        let sym = natural.symbolic(&recorded);
+        assert!(sym.plan.is_some());
+        if natural.q != ColumnOrdering::default().permutation(&recorded) {
+            assert_eq!(check_fresh(&sym, &recorded), Ok(false));
+        }
+        assert!(matches!(
+            sym.factorize_fresh(&Triplet::new(2, 3).to_csr()),
+            Err(LinalgError::DimensionMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn factorize_fresh_leaves_the_recorded_pattern_alone() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let (a, b) = random_system(&mut rng, 25);
+        let mut ws = LuWorkspace::new();
+        ws.factorize(&a).unwrap();
+        let before = Arc::clone(ws.symbolic().unwrap());
+        let replay_before = ws.factorize(&a).unwrap().solve(&b).unwrap();
+        // A fresh factorization of wildly different values (every pivot
+        // stale) through the workspace's pattern.
+        let mut t = Triplet::new(25, 25);
+        for (r, c, v) in a.iter() {
+            t.push(r, c, if r == c { 1e-6 * v } else { v });
+        }
+        let other = t.to_csr();
+        let fresh = ws.symbolic().unwrap().factorize_fresh(&other).unwrap();
+        assert_same_lu(&other, &fresh, &SparseLu::factorize(&other).unwrap()).unwrap();
+        assert!(Arc::ptr_eq(&before, ws.symbolic().unwrap()));
+        assert_eq!(ws.factorize(&a).unwrap().solve(&b).unwrap(), replay_before);
+        assert_eq!(ws.stats().full_factorizations, 1);
+    }
+
+    /// Under `faults`, `factorize_fresh` draws exactly once per call, like
+    /// `SparseLu::factorize`: the same seeded plan fails the same calls of
+    /// a mixed replay/fallback sequence, and the draw counter ends in the
+    /// same place.
+    #[cfg(feature = "faults")]
+    #[test]
+    fn factorize_fresh_consumes_one_singular_draw() {
+        let recorded = from_entries(2, &[(0, 0, 4.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 4.0)]);
+        let sym = SparseLu::factorize(&recorded).unwrap().symbolic(&recorded);
+        let hit = from_entries(2, &[(0, 0, 3.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 5.0)]);
+        let fallback = from_entries(2, &[(0, 0, 0.05), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 4.0)]);
+        assert_eq!(check_fresh(&sym, &hit), Ok(true));
+        assert_eq!(check_fresh(&sym, &fallback), Ok(false));
+        let inputs: Vec<&CsrMatrix> = (0..48)
+            .map(|i| if i % 3 == 0 { &fallback } else { &hit })
+            .collect();
+        let run = |f: &dyn Fn(&CsrMatrix) -> Result<SparseLu, LinalgError>| {
+            crate::faults::arm_singular(0xC0FFEE, 3);
+            let outcomes: Vec<bool> = inputs.iter().map(|a| f(a).is_ok()).collect();
+            let next: Vec<bool> = (0..16).map(|_| crate::faults::fire_singular()).collect();
+            crate::faults::disarm();
+            (outcomes, next)
+        };
+        let fresh = run(&|a| sym.factorize_fresh(a));
+        let full = run(&|a| SparseLu::factorize(a));
+        assert_eq!(fresh, full);
+        assert!(fresh.0.iter().any(|&ok| ok) && fresh.0.iter().any(|&ok| !ok));
     }
 }

@@ -161,8 +161,10 @@ impl Circuit {
 
     /// One limit-free assembly of the original system (default gmin, full
     /// sources) at `x`: returns `(J(x) triplets, F(x))` — the true
-    /// linearization rather than a limited one. Certification and the AC
-    /// small-signal matrix evaluate this.
+    /// linearization rather than a limited one. The AC small-signal matrix
+    /// evaluates this; certification evaluates the same system through a
+    /// stamp plan ([`StampPlan::eval_limit_free_into`](crate::StampPlan::eval_limit_free_into)),
+    /// bitwise equal after [`Triplet::to_csr`].
     ///
     /// Junction limiting is off for this pass (a limit-free [`Stamper`]),
     /// so every device evaluates at its raw junction voltages; no limiter

@@ -9,15 +9,20 @@
 //! slot table — no triplet allocation, no sorting, no hashing, just a
 //! cursor walk scattering values in place.
 //!
-//! This is the only assembly path the Newton loop runs. Bit-identity with
-//! [`Circuit::assemble_into`] followed by [`Triplet::to_csr`] — kept for
-//! the test oracle, and (limit-free, [`Circuit::assemble_limit_free`]) for
-//! independent re-assembly in certification and AC — is the contract: the
-//! same device code runs on both sides (the [`Stamper`] sink is what
-//! differs), the frozen pattern comes from the same shared counting sort,
-//! and each slot accumulates its duplicates in push order. See
-//! `rlpta-linalg::StampSlots` for the mechanics; the oracle tests are
-//! `crates/core/tests/assembly_identity.rs` and `tests/assembly_oracle.rs`.
+//! This is the only assembly path the Newton loop and certification run:
+//! [`StampPlan::eval_into`] for the solvers, and
+//! [`StampPlan::eval_limit_free_into`] for the limit-free re-evaluation
+//! certification grades. Bit-identity with [`Circuit::assemble_into`]
+//! followed by [`Triplet::to_csr`] (limit-free:
+//! [`Circuit::assemble_limit_free`]) is the contract: the same device code
+//! runs on both sides (the [`Stamper`] sink is what differs), the frozen
+//! pattern comes from the same shared counting sort, and each slot
+//! accumulates its duplicates in push order. See `rlpta-linalg::StampSlots`
+//! for the mechanics; the oracle tests are
+//! `crates/core/tests/assembly_identity.rs`, `tests/assembly_oracle.rs`
+//! and `tests/certify_oracle.rs`. The triplet path's one production caller
+//! is AC, which reads its small-signal conductance matrix from
+//! [`Circuit::assemble_limit_free`].
 //!
 //! The declare loop is shared: plan resolution and the service's structure
 //! key both run [`Circuit::declare_targets`], and
@@ -174,6 +179,44 @@ impl StampPlan {
         st.finish()
     }
 
+    /// The original system's limit-free linearization at `x` through the
+    /// plan: zeroes `residual` and runs one device pass (default gmin, full
+    /// sources) through a limit-free scatter [`Stamper`] on a fresh state,
+    /// so `matrix` and `residual` receive bitwise the CSR and `F(x)` that
+    /// [`Circuit::assemble_limit_free`] followed by [`Triplet::to_csr`]
+    /// gives — the same device code, the same shared counting sort behind
+    /// the frozen pattern, and slots that assign on first touch and add in
+    /// push order. Returns `true` when every raw Jacobian stamp was finite.
+    ///
+    /// `matrix` may be a solver's working buffer over this plan: every slot
+    /// is overwritten here, and again by the next [`StampPlan::eval_into`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan carries solver extra stamps (the limit-free
+    /// system is the circuit's own), or on the shape mismatches
+    /// [`StampPlan::eval_into`] rejects.
+    pub fn eval_limit_free_into(
+        &self,
+        circuit: &Circuit,
+        x: &[f64],
+        matrix: &mut CsrMatrix,
+        residual: &mut [f64],
+    ) -> bool {
+        assert_eq!(
+            self.device_pushes,
+            self.targets.len(),
+            "limit-free evaluation needs a device-only plan"
+        );
+        assert_eq!(x.len(), self.dim, "operating point dimension mismatch");
+        assert_eq!(residual.len(), self.dim, "residual dimension mismatch");
+        residual.fill(0.0);
+        let mut state = circuit.new_state();
+        let mut st = Stamper::scatter(self.slots.writer(matrix), residual).limit_free();
+        circuit.stamp_all(&EvalCtx::dc(x), &mut st, &mut state);
+        st.finish()
+    }
+
     /// Builds the Gmin-bump companion: the frozen pattern united with every
     /// node diagonal, plus the scatter maps needed to replay a bumped
     /// factorization bit-identically to `jac.push(i, i, gshunt)` on the
@@ -310,6 +353,37 @@ mod tests {
         assert_bit_identical(&c, &vec![0.0; c.dim()]);
         assert_bit_identical(&c, &[5.0, 0.62, -4.3e-3]);
         assert_bit_identical(&c, &[-2.0, -1.0, 1e-3]);
+    }
+
+    #[test]
+    fn limit_free_pass_matches_limit_free_triplet() {
+        let c = diode_circuit();
+        let plan = StampPlan::resolve(&c, &mut |_| {});
+        // A working buffer left dirty by a limited solver pass.
+        let mut m = plan.new_matrix();
+        let mut res = vec![0.0; c.dim()];
+        let mut state = c.new_state();
+        let x0 = [3.0, 0.9, -1e-3];
+        plan.eval_into(&c, &EvalCtx::dc(&x0), &mut m, &mut res, &mut state, &mut |_| {});
+        for x in [[0.0; 3], [5.0, 0.62, -4.3e-3], [-2.0, 3.5, 1e-3]] {
+            let (jac, reference_res) = c.assemble_limit_free(&x);
+            let reference = jac.to_csr();
+            assert!(plan.eval_limit_free_into(&c, &x, &mut m, &mut res));
+            assert!(reference.same_pattern(&m));
+            let bits = |v: &[f64]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(reference.values()), bits(m.values()), "J at {x:?}");
+            assert_eq!(bits(&reference_res), bits(&res), "F at {x:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "device-only plan")]
+    fn limit_free_pass_rejects_extra_stamps() {
+        let c = diode_circuit();
+        let plan = StampPlan::resolve(&c, &mut |st| st.jac_raw(0, 0, 0.0));
+        let mut m = plan.new_matrix();
+        let mut res = vec![0.0; c.dim()];
+        plan.eval_limit_free_into(&c, &[0.0; 3], &mut m, &mut res);
     }
 
     #[test]
